@@ -117,19 +117,30 @@ def _csv_text(header, rows) -> str:
 # (result dict, optional (header, rows) CSV table)
 # ---------------------------------------------------------------------------
 
-def _resolve_eps(cfg: dict, args) -> float:
-    if getattr(args, "eps", None) is not None:
-        return float(args.eps.split(",")[0]) if isinstance(args.eps, str) \
-            else float(args.eps)
-    return float(cfg.get("epsilon", 0.0))
+def _resolve_eps(cfg: dict, args, many: bool = False) -> list[float]:
+    """``--eps`` (a comma list only where ``many``), else the config's
+    epsilon; each must be a finite number."""
+    where = "$.epsilon" if args.eps is None else "--eps"
+    raw = [cfg.get("epsilon", 0.0)] if args.eps is None else args.eps.split(",")
+    if len(raw) > 1 and not many:
+        raise ConfigError(f"--eps: {args.command} takes one value, got "
+                          f"{args.eps!r}")
+    try:
+        values = [float(v) for v in raw]
+    except (TypeError, ValueError):
+        values = [np.nan]
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{where}: expected finite numbers, got {raw!r}")
+    return values
 
 
-def _eps_list(args, cfg) -> list[float]:
-    if getattr(args, "eps", None) is None:
-        return [float(cfg.get("epsilon", 0.0))]
-    if isinstance(args.eps, str):
-        return [float(v) for v in args.eps.split(",") if v]
-    return [float(args.eps)]
+def _resolve_steps(args, default: int) -> int:
+    if args.steps is None:
+        return default
+    if args.steps < 1:
+        raise ConfigError(f"--steps: expected a positive count, got "
+                          f"{args.steps}")
+    return args.steps
 
 
 _MODEL_KEYS = ("graph", "alpha", "epsilon", "beta_override")
@@ -166,7 +177,7 @@ def _cluster(eigs: np.ndarray, tol: float = 1e-8):
 
 
 def cmd_spectrum(cfg, args):
-    eps = _resolve_eps(cfg, args)
+    eps = _resolve_eps(cfg, args)[0]
     mdl = _model_of(cfg, eps)
     eigs = np.linalg.eigvals(mdl.operator())
     clusters = _cluster(eigs)
@@ -186,7 +197,7 @@ def cmd_spectrum(cfg, args):
 
 
 def cmd_ergodicity(cfg, args):
-    eps = _resolve_eps(cfg, args)
+    eps = _resolve_eps(cfg, args)[0]
     mdl = _model_of(cfg, eps)
     rep = dobrushin.dependency_matrix(mdl)
     m = mdl.graph.max_degree
@@ -200,7 +211,7 @@ def cmd_ergodicity(cfg, args):
 
 
 def cmd_dobrushin(cfg, args):
-    eps = _resolve_eps(cfg, args)
+    eps = _resolve_eps(cfg, args)[0]
     mdl = _model_of(cfg, eps, extra_allowed=("measure",))
     pm = dobrushin.ProductMetric.discrete(mdl.product_metric_sizes())
     measure = cfg.get("measure")
@@ -275,18 +286,19 @@ def cmd_sylvester(cfg, args):
 
 
 def cmd_continue(cfg, args):
-    eps = _resolve_eps(cfg, args)
+    eps = _resolve_eps(cfg, args)[0]
     if eps <= 0:
         raise ConfigError("a positive --eps (or config epsilon) is required")
+    steps = _resolve_steps(args, 8)
     mdl = _model_of(cfg, eps)
     fam = mdl.family()
     p0 = projection.Projection(fam.t0)
-    res = projection.continue_projection(p0, fam, eps, args.steps or 8)
+    res = projection.continue_projection(p0, fam, eps, steps)
     rows = [(pt.eps, pt.phi_residual, pt.comm_residual, pt.rank, pt.gap,
              pt.sep) for pt in res.path]
     result = {
         "epsilon": eps,
-        "steps": args.steps or 8,
+        "steps": steps,
         "rank": res.projection.rank,
         "projection": res.projection.matrix.tolist(),
         "path": [dict(zip(("eps", "phi_residual", "comm_residual", "rank",
@@ -297,10 +309,10 @@ def cmd_continue(cfg, args):
 
 
 def cmd_effective(cfg, args):
-    eps_values = _eps_list(args, cfg)
+    eps_values = _resolve_eps(cfg, args, many=True)
     order = args.order or "2"
+    steps = _resolve_steps(args, 64)
     mdl = _model_of(cfg, eps_values[0])
-    steps = args.steps or 64
     if len(eps_values) == 1:
         red = perturb.effective_operator(mdl, eps_values[0], order,
                                          n_steps=steps)

@@ -7,12 +7,14 @@ global transition operator over the ``3^N`` configurations factorizes row
 by row into per-site probability rows.
 
 Configuration indexing is mixed-radix little-endian: site 0 varies fastest,
-``index = sum_s x_s * 3**s``.  Matrices built here are bit-reproducible.
+``index = sum_s x_s * 3**s``.  Every local row is affine in eps; the rule
+is tabulated once over all configurations as a constant part plus an
+eps-slope, and operators and their derivatives are built from that table.
+Matrices built here are bit-reproducible.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -93,41 +95,50 @@ def three_state_row(own: int, n_plus: int, n_minus: int, alpha: float,
     or ``-`` with probability one half each.  ``beta_override`` replaces the
     count-driven rates by fixed constants ``(beta_plus, beta_minus)``.
     """
-    if alpha < 0:
-        raise DomainError(f"alpha must be nonnegative, got {alpha}")
+    if own not in (PLUS, ZERO, MINUS):
+        raise DomainError(f"unknown local state {own}")
     if n_plus < 0 or n_minus < 0:
         raise DomainError("neighbour counts must be nonnegative")
+    base, slope, rate = _local_rule(np.array(own, dtype=int), n_plus, n_minus,
+                                    alpha, beta_override)
+    _check_eps(eps, rate)
+    return base + slope * eps
+
+
+#: the row of a site in state ``own`` is ``_BASE[own] + eps * rate *
+#: _DIRECTION[own]``, with rate ``beta_minus`` for ``+`` and ``beta_plus``
+#: for ``-``; the ``0`` row does not depend on eps
+_BASE = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
+_DIRECTION = np.array([[-1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, -1.0]])
+
+
+def _local_rule(own, n_plus, n_minus, alpha, beta_override):
+    """Constant part and eps-slope of the local rows, elementwise.
+
+    ``own``, ``n_plus`` and ``n_minus`` are arrays of one shape ``S`` (or
+    broadcast to it).  Returns ``base`` and ``slope`` of shape ``S + (3,)``
+    and the larger of the two rates per entry, which bounds eps.
+    """
+    if alpha < 0:
+        raise DomainError(f"alpha must be nonnegative, got {alpha}")
     if beta_override is None:
-        beta_plus = 1.0 + alpha * n_plus
-        beta_minus = 1.0 + alpha * n_minus
+        beta_plus = 1.0 + alpha * np.asarray(n_plus)
+        beta_minus = 1.0 + alpha * np.asarray(n_minus)
     else:
-        beta_plus, beta_minus = beta_override
-    if not 0.0 <= eps * max(beta_plus, beta_minus) <= 1.0 or eps < 0:
+        beta_plus = np.full(own.shape, beta_override[0], dtype=float)
+        beta_minus = np.full(own.shape, beta_override[1], dtype=float)
+    rate = np.where(own == PLUS, beta_minus,
+                    np.where(own == MINUS, beta_plus, 0.0))
+    slope = rate[..., None] * _DIRECTION[own]
+    return _BASE[own], slope, np.maximum(beta_plus, beta_minus)
+
+
+def _check_eps(eps: float, rate) -> None:
+    """Require ``0 <= eps * r <= 1`` for every rate ``r``."""
+    lo, hi = np.min(rate), np.max(rate)
+    if eps < 0 or not (0.0 <= eps * lo and eps * hi <= 1.0):
         raise DomainError(
-            f"epsilon={eps} outside [0, {1.0 / max(beta_plus, beta_minus):g}] "
-            "for these rates")
-    if own == PLUS:
-        return np.array([1.0 - beta_minus * eps, beta_minus * eps, 0.0])
-    if own == ZERO:
-        return np.array([0.5, 0.0, 0.5])
-    if own == MINUS:
-        return np.array([0.0, beta_plus * eps, 1.0 - beta_plus * eps])
-    raise DomainError(f"unknown local state {own}")
-
-
-def _three_state_row_deriv(own: int, n_plus: int, n_minus: int, alpha: float,
-                           beta_override=None) -> np.ndarray:
-    """d/d(eps) of :func:`three_state_row`; independent of eps (rows affine)."""
-    if beta_override is None:
-        beta_plus = 1.0 + alpha * n_plus
-        beta_minus = 1.0 + alpha * n_minus
-    else:
-        beta_plus, beta_minus = beta_override
-    if own == PLUS:
-        return np.array([-beta_minus, beta_minus, 0.0])
-    if own == ZERO:
-        return np.zeros(3)
-    return np.array([0.0, beta_plus, -beta_plus])
+            f"epsilon={eps} outside [0, {1.0 / hi:g}] for these rates")
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +166,67 @@ def all_configs(n_sites: int) -> Iterator[tuple[int, ...]]:
         yield index_config(idx, n_sites)
 
 
-def _kron_row(site_rows: list[np.ndarray]) -> np.ndarray:
-    """Tensor a list of per-site rows so that site 0 varies fastest."""
-    out = site_rows[-1]
-    for r in reversed(site_rows[:-1]):
-        out = np.kron(out, r)
-    return out if len(site_rows) > 1 else site_rows[0]
+# ---------------------------------------------------------------------------
+# the local rule over all configurations
+# ---------------------------------------------------------------------------
+
+class _LocalRule:
+    """The local rule tabulated over all ``3^N`` configurations.
+
+    ``digits[idx]`` is configuration ``idx``; ``base[idx, s] + eps *
+    slope[idx, s]`` is the update row of site ``s`` given it, with neighbour
+    counts read through the adjacency matrix.  Every row is affine in eps,
+    so the derivative of a row is its slope.
+    """
+
+    def __init__(self, graph: SiteGraph, alpha: float, beta_override=None):
+        if graph.n_sites > MAX_SITES:
+            raise DomainError(f"site count exceeds cap {MAX_SITES}")
+        n_sites = graph.n_sites
+        adjacency = np.zeros((n_sites, n_sites), dtype=int)
+        for (u, v) in graph.edges:
+            adjacency[u, v] = adjacency[v, u] = 1
+        self.strides = 3 ** np.arange(n_sites)
+        self.digits = np.arange(3 ** n_sites)[:, None] // self.strides % 3
+        self.base, self.slope, self.rate = _local_rule(
+            self.digits, (self.digits == PLUS) @ adjacency,
+            (self.digits == MINUS) @ adjacency, alpha, beta_override)
+
+    def rows(self, eps: float) -> np.ndarray:
+        """All local rows at ``eps``, shape ``3^N x N x 3``."""
+        _check_eps(eps, self.rate)
+        return self.base + self.slope * eps
+
+    def operator(self, eps: float) -> np.ndarray:
+        rows = self.rows(eps)
+        return _tensor(rows, np.empty((rows.shape[0],) * 2))
+
+    def derivative(self, eps: float) -> np.ndarray:
+        """Product rule over sites: one site's row replaced by its slope."""
+        rows = self.rows(eps)
+        out = np.zeros((rows.shape[0],) * 2)
+        term = np.empty_like(out)
+        for s in range(rows.shape[1]):
+            parts = rows.copy()
+            parts[:, s] = self.slope[:, s]
+            out += _tensor(parts, term)
+        return out
+
+
+def _tensor(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row-wise tensor product of the per-site rows, site 0 fastest.
+
+    Multiplies from the highest site down, one batched outer product per
+    site, as ``np.kron(np.kron(r[N-1], r[N-2]), ...)`` would; the last
+    product is written into ``out``.
+    """
+    n_rows, n_sites, _ = rows.shape
+    acc = np.ones((n_rows, 1))
+    for s in range(n_sites - 1, -1, -1):
+        dest = out.reshape(n_rows, -1, 3) if s == 0 else None
+        acc = np.multiply(acc[:, :, None], rows[:, s, None, :],
+                          out=dest).reshape(n_rows, -1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +247,9 @@ class PcaModel:
             raise DomainError(
                 f"{self.graph.n_sites} sites exceeds the desk-scale cap of "
                 f"{MAX_SITES} (3^{self.graph.n_sites} configurations)")
-        if self.alpha < 0:
-            raise DomainError("alpha must be nonnegative")
-        if self.beta_override is None:
-            cap = 1.0 / (1.0 + self.alpha * self.graph.max_degree)
-        else:
-            cap = 1.0 / max(self.beta_override)
+        # the largest rate: a site with all its neighbours in one state
+        cap = 1.0 / _local_rule(np.array(PLUS), self.graph.max_degree, 0,
+                                self.alpha, self.beta_override)[2]
         if not 0.0 <= self.epsilon <= cap + 1e-15:
             raise DomainError(
                 f"epsilon={self.epsilon} outside [0, {cap:g}] for this model")
@@ -198,19 +261,6 @@ class PcaModel:
     @property
     def n_configs(self) -> int:
         return 3 ** self.graph.n_sites
-
-    def neighbor_counts(self, cfg, s: int) -> tuple[int, int]:
-        nbrs = self.graph.neighbors(s)
-        n_plus = sum(1 for t in nbrs if cfg[t] == PLUS)
-        n_minus = sum(1 for t in nbrs if cfg[t] == MINUS)
-        return n_plus, n_minus
-
-    def local_row(self, s: int, cfg, eps: float | None = None) -> np.ndarray:
-        """Update row for site ``s`` given the pre-update configuration."""
-        n_plus, n_minus = self.neighbor_counts(cfg, s)
-        e = self.epsilon if eps is None else eps
-        return three_state_row(cfg[s], n_plus, n_minus, self.alpha, e,
-                               self.beta_override)
 
     def operator(self, eps: float | None = None) -> np.ndarray:
         """Global synchronous transition operator at ``eps``."""
@@ -232,83 +282,31 @@ def assemble_operator(graph: SiteGraph, alpha: float, eps: float,
     ``T[x, y]`` is the product over sites of the local row probabilities,
     with neighbour counts read from the pre-update configuration ``x``.
     """
-    if graph.n_sites > MAX_SITES:
-        raise DomainError(f"site count exceeds cap {MAX_SITES}")
-    n = 3 ** graph.n_sites
-    t = np.empty((n, n))
-    for idx in range(n):
-        cfg = index_config(idx, graph.n_sites)
-        rows = []
-        for s in range(graph.n_sites):
-            n_plus = sum(1 for v in graph.neighbors(s) if cfg[v] == PLUS)
-            n_minus = sum(1 for v in graph.neighbors(s) if cfg[v] == MINUS)
-            rows.append(three_state_row(cfg[s], n_plus, n_minus, alpha, eps,
-                                        beta_override))
-        t[idx] = _kron_row(rows)
-    return t
+    return _LocalRule(graph, alpha, beta_override).operator(eps)
 
 
 @dataclass(frozen=True)
 class PerturbationFamily:
     """eps-parameterized operator family with exact derivatives.
 
-    ``at(eps)`` evaluates the operator, ``derivative(eps)`` its first
-    eps-derivative and ``second_derivative(eps)`` the second one.  The
-    cached ``t0``/``t0_prime`` give the operator and its derivative at 0.
+    ``at(eps)`` evaluates the operator and ``derivative(eps)`` its first
+    eps-derivative.  The cached ``t0``/``t0_prime`` give the operator and
+    its derivative at 0.
     Tangent directions satisfy ``T' @ 1 = 0`` (rows of the derivative sum
     to zero) because every member is row-stochastic.
     """
 
     at: Callable[[float], np.ndarray]
     derivative: Callable[[float], np.ndarray]
-    second_derivative: Callable[[float], np.ndarray]
     t0: np.ndarray
     t0_prime: np.ndarray
 
 
 def _pca_family(graph: SiteGraph, alpha: float, beta_override) -> PerturbationFamily:
-    n_sites = graph.n_sites
-    n = 3 ** n_sites
-
-    def site_data(cfg, eps):
-        rows, drows = [], []
-        for s in range(n_sites):
-            n_plus = sum(1 for v in graph.neighbors(s) if cfg[v] == PLUS)
-            n_minus = sum(1 for v in graph.neighbors(s) if cfg[v] == MINUS)
-            rows.append(three_state_row(cfg[s], n_plus, n_minus, alpha, eps,
-                                        beta_override))
-            drows.append(_three_state_row_deriv(cfg[s], n_plus, n_minus, alpha,
-                                                beta_override))
-        return rows, drows
-
-    def at(eps: float) -> np.ndarray:
-        return assemble_operator(graph, alpha, eps, beta_override)
-
-    def derivative(eps: float) -> np.ndarray:
-        # product rule over sites; per-site rows are affine in eps
-        out = np.zeros((n, n))
-        for idx in range(n):
-            cfg = index_config(idx, n_sites)
-            rows, drows = site_data(cfg, eps)
-            for s in range(n_sites):
-                parts = rows[:s] + [drows[s]] + rows[s + 1:]
-                out[idx] += _kron_row(parts)
-        return out
-
-    def second_derivative(eps: float) -> np.ndarray:
-        out = np.zeros((n, n))
-        for idx in range(n):
-            cfg = index_config(idx, n_sites)
-            rows, drows = site_data(cfg, eps)
-            for s, t in itertools.combinations(range(n_sites), 2):
-                parts = list(rows)
-                parts[s] = drows[s]
-                parts[t] = drows[t]
-                out[idx] += 2.0 * _kron_row(parts)
-        return out
-
-    return PerturbationFamily(at, derivative, second_derivative,
-                              t0=at(0.0), t0_prime=derivative(0.0))
+    rule = _LocalRule(graph, alpha, beta_override)
+    return PerturbationFamily(rule.operator, rule.derivative,
+                              t0=rule.operator(0.0),
+                              t0_prime=rule.derivative(0.0))
 
 
 def family_at_zero(graph: SiteGraph, alpha: float, beta_override=None,

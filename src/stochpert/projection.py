@@ -245,16 +245,14 @@ class ContinuationResult:
     projections: tuple[Projection, ...]   # one per recorded grid point
 
 
-def _newton_correct(p_mat, t, rank, ones_target, tols, max_iter=50):
+def _newton_correct(p_mat, t, rank, tols, max_iter=50):
     """Correct an approximate projection onto ``[P,T]=0`` at fixed rank.
 
     Newton steps live in the tangent space (two small Sylvester solves per
-    iteration); the idempotent retraction handles the normal defect and a
-    rank-one update re-imposes the action on the constant function.
-    Returns the corrected matrix with its final residuals.
+    iteration) and the idempotent retraction handles the normal defect.
+    Returns the corrected matrix with its final residuals and the number of
+    iterations taken.
     """
-    n = p_mat.shape[0]
-    ones = np.ones(n)
     history = []
     for it in range(max_iter):
         phi_r = np.linalg.norm(phi(p_mat), "fro")
@@ -268,9 +266,6 @@ def _newton_correct(p_mat, t, rank, ones_target, tols, max_iter=50):
         v = solve_dense(t_q, t_p, -t21)
         p_mat = p_mat + frame.from_offdiagonal(u, v)
         p_mat = retract(p_mat)
-        if ones_target is not None:
-            defect = p_mat @ ones - ones_target
-            p_mat = p_mat - np.outer(defect, ones) / n
     raise NumericalError(
         f"corrector did not reach {tols.solve:g} in {max_iter} iterations; "
         f"residual history {history[-3:]}")
@@ -283,19 +278,13 @@ def continue_projection(p0: Projection, family, eps_target: float,
     """Continue a projection along the operator family up to ``eps_target``.
 
     Euler predictor with :func:`derivative`, Newton corrector in tangent
-    coordinates, idempotent retraction, and a rank-one fix of the action on
-    the constant function.  Steps are halved on corrector failure down to
-    ``eps_target / 2**10``; the rank is monitored and a jump aborts the
-    continuation.  The result records one :class:`PathPoint` (and the
-    projection) per uniform grid node.
+    coordinates and idempotent retraction.  Steps are halved on corrector
+    failure down to ``eps_target / 2**10``; the rank is monitored and a
+    jump aborts the continuation.  The result records one
+    :class:`PathPoint` (and the projection) per uniform grid node.
     """
     if eps_target < 0:
         raise DomainError("eps_target must be nonnegative")
-    ones_target = None
-    if p0.submanifold == "fixes_one":
-        ones_target = np.ones(p0.n)
-    elif p0.submanifold == "kills_one":
-        ones_target = np.zeros(p0.n)
 
     def record(eps, proj, t):
         rep = gap_report(t, proj)
@@ -323,8 +312,7 @@ def continue_projection(p0: Projection, family, eps_target: float,
                         current, family.at(eps), family.derivative(eps),
                         tols=tols)
                     corrected, phi_r, comm_r, _ = _newton_correct(
-                        pred, family.at(eps + step), current.rank,
-                        ones_target, tols)
+                        pred, family.at(eps + step), current.rank, tols)
                     break
                 except (NumericalError, DomainError):
                     step *= 0.5

@@ -166,6 +166,24 @@ class TestErrorsAndReproducibility:
     def test_missing_config_is_config_error(self, capsys):
         assert main(["spectrum"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--eps", "abc"],
+        ["spectrum", "--eps", "nan"],
+        ["spectrum", "--eps", "0.1,0.2"],
+        ["effective", "--eps", "0.02,x"],
+        ["continue", "--eps", "0.05", "--steps", "-1"],
+        ["continue", "--eps", "0.05", "--steps", "0"],
+        ["effective", "--steps", "0"],
+        ["effective", "--order", "exact", "--steps", "-2"],
+    ])
+    def test_bad_eps_or_steps_is_config_error(self, capsys, model_config,
+                                              argv):
+        cfg = model_config(SINGLE)
+        assert main([*argv, "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --")
+        assert captured.out == ""
+
     def test_reports_identical_modulo_duration(self, capsys, model_config,
                                                tmp_path):
         cfg = model_config(PATH2)

@@ -4,10 +4,11 @@ import pytest
 from stochpert.errors import DomainError, NumericalError
 from stochpert.model import PcaModel, PerturbationFamily, SiteGraph, \
     family_at_zero
-from stochpert.numerics import Disk
-from stochpert.projection import (Projection, continue_projection, derivative,
-                                  gap_report, phi, retract,
-                                  spectral_projection, tangent_split)
+from stochpert.numerics import DEFAULT_TOLS, Disk
+from stochpert.projection import (Projection, _newton_correct,
+                                  continue_projection, derivative, gap_report,
+                                  phi, retract, spectral_projection,
+                                  tangent_split)
 
 T0_1SITE = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
 
@@ -180,8 +181,7 @@ class TestDerivative:
 
 def constant_family(t0):
     zero = np.zeros_like(t0)
-    return PerturbationFamily(lambda e: t0, lambda e: zero, lambda e: zero,
-                              t0, zero)
+    return PerturbationFamily(lambda e: t0, lambda e: zero, t0, zero)
 
 
 class TestContinuation:
@@ -223,6 +223,17 @@ class TestContinuation:
         res = continue_projection(Projection(fam.t0), fam, 0.1, 8)
         ones = np.ones(9)
         assert np.abs(res.projection.matrix @ ones - ones).max() < 1e-11
+
+    def test_corrector_converges_quadratically(self):
+        # one Euler step from eps = 0; a linearly converging corrector
+        # needs tens of iterations here
+        fam = PcaModel(SiteGraph.path(2), 0.3, 0.0, (1.7, 1.0)).family()
+        p0 = Projection(fam.t0)
+        pred = p0.matrix + 0.05 * derivative(p0, fam.t0, fam.t0_prime)
+        _, phi_r, comm_r, iters = _newton_correct(pred, fam.at(0.05), p0.rank,
+                                                  DEFAULT_TOLS)
+        assert iters <= 6
+        assert max(phi_r, comm_r) <= DEFAULT_TOLS.solve
 
     def test_zero_target(self):
         fam = constant_family(T0_1SITE)
