@@ -181,12 +181,13 @@ def cmd_spectrum(cfg, args):
     mdl = _model_of(cfg, eps)
     eigs = np.linalg.eigvals(mdl.operator())
     clusters = _cluster(eigs)
-    gap = np.inf
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            zi = complex(clusters[i]["center_re"], clusters[i]["center_im"])
-            zj = complex(clusters[j]["center_re"], clusters[j]["center_im"])
-            gap = min(gap, abs(zi - zj))
+    re, im = (np.array([c[key] for c in clusters])
+              for key in ("center_re", "center_im"))
+    # one row of the pairwise distances at a time: up to 3^8 centres would
+    # make the full matrix 344 MB.  hypot is what abs(complex) computes;
+    # np.abs may differ in the last bit
+    gap = min((float(np.hypot(re[i] - re[i + 1:], im[i] - im[i + 1:]).min())
+               for i in range(len(clusters) - 1)), default=np.inf)
     order = np.lexsort((eigs.imag, eigs.real))
     return {
         "epsilon": eps,

@@ -18,6 +18,7 @@ internal consistency check of the module.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,6 +47,11 @@ __all__ = [
 #: refuse to enumerate polar generators beyond this count
 GENERATOR_CAP = 1_000_000
 
+#: refuse a tangent norm needing more primal LPs than this, one per
+#: configuration plus one per polar generator: 369 for two 3-state sites,
+#: 166,401 (hours of LPs) for three
+_STAR_NORM_LP_CAP = 1_000
+
 
 @dataclass(frozen=True)
 class ProductMetric:
@@ -68,11 +74,9 @@ class ProductMetric:
             if off.min() <= 0:
                 raise DomainError(f"site {s}: off-diagonal distances must be "
                                   "positive")
-            for a in range(k):
-                for b in range(k):
-                    if d[a, b] > (d[a, None, :] + d[None, :, b]).min() + 1e-12:
-                        raise DomainError(f"site {s}: triangle inequality "
-                                          "violated")
+            for a in range(k):      # d[a, c] + d[c, b] over c, per a
+                if np.any(d[a] > (d[a, :, None] + d).min(axis=0) + 1e-12):
+                    raise DomainError(f"site {s}: triangle inequality violated")
 
     @classmethod
     def discrete(cls, sizes) -> "ProductMetric":
@@ -104,28 +108,33 @@ class ProductMetric:
             yield cfg
 
 
-def _as_grid(f, pm: ProductMetric) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.shape != (pm.n_configs,):
-        raise DomainError(f"function length {f.shape} vs {pm.n_configs} "
-                          "configurations")
-    return f.reshape(pm.sizes, order="F")
+def _site_pairs(pm: ProductMetric, s: int):
+    """Index arrays ``i``, ``j`` and site distances ``d`` of every ordered
+    configuration pair differing only at site ``s``: ``i`` in ``configs()``
+    order (last site fastest), the other state ascending.  ``j > i`` exactly
+    when the other state is the larger one."""
+    sizes = pm.sizes
+    # configuration indices (site 0 fastest) and site-s states, both listed
+    # in configs() order
+    idx = np.arange(pm.n_configs).reshape(sizes, order="F").ravel()[:, None]
+    own = np.indices(sizes)[s].ravel()[:, None]
+    alt = np.arange(sizes[s])
+    other = alt != own
+    i = np.broadcast_to(idx, other.shape)[other]
+    j = (idx + (alt - own) * int(np.prod(sizes[:s])))[other]
+    d = np.asarray(pm.metrics[s], dtype=float)[own, alt][other]
+    return i, j, d
 
 
 def site_lipschitz(f, s: int, pm: ProductMetric) -> float:
     """Largest slope of ``f`` over configuration pairs differing only at
     site ``s`` (exact maximum by enumeration)."""
-    grid = _as_grid(f, pm)
-    d = pm.metrics[s]
-    best = 0.0
-    for a in range(pm.sizes[s]):
-        fa = np.take(grid, a, axis=s)
-        for b in range(pm.sizes[s]):
-            if b == a:
-                continue
-            gap = float((fa - np.take(grid, b, axis=s)).max() / d[a, b])
-            best = max(best, gap)
-    return best
+    f = np.asarray(f, dtype=float)
+    if f.shape != (pm.n_configs,):
+        raise DomainError(f"function length {f.shape} vs {pm.n_configs} "
+                          "configurations")
+    i, j, d = _site_pairs(pm, s)
+    return float(np.max((f[i] - f[j]) / d, initial=0.0))
 
 
 def f_seminorm(f, pm: ProductMetric) -> float:
@@ -140,30 +149,23 @@ def f_seminorm(f, pm: ProductMetric) -> float:
 def _site_dipoles(pm: ProductMetric, s: int) -> np.ndarray:
     """All ordered single-site dipoles ``(delta_a - delta_b)/d_s(a_s, b_s)``
     for configuration pairs differing only at site ``s``."""
-    n = pm.n_configs
-    d = pm.metrics[s]
-    out = []
-    for cfg in pm.configs():
-        i = pm.config_index(cfg)
-        for alt in range(pm.sizes[s]):
-            if alt == cfg[s]:
-                continue
-            other = list(cfg)
-            other[s] = alt
-            v = np.zeros(n)
-            v[i] = 1.0 / d[cfg[s], alt]
-            v[pm.config_index(other)] = -1.0 / d[cfg[s], alt]
-            out.append(v)
-    return np.array(out)
+    i, j, d = _site_pairs(pm, s)
+    out = np.zeros((i.size, pm.n_configs))
+    rows = np.arange(i.size)
+    out[rows, i] = 1.0 / d
+    out[rows, j] = -1.0 / d
+    return out
 
 
 def generator_count(pm: ProductMetric) -> int:
     """Number of polar generators: one dipole (or none) per site, not all
     absent."""
-    total = 1
-    for s, k in enumerate(pm.sizes):
-        total *= 1 + pm.n_configs * (k - 1)
-    return total - 1
+    return _generator_count(pm.sizes)
+
+
+def _generator_count(sizes) -> int:
+    n = math.prod(sizes)
+    return math.prod(1 + n * (k - 1) for k in sizes) - 1
 
 
 def polar_generators(pm: ProductMetric) -> np.ndarray:
@@ -177,17 +179,19 @@ def polar_generators(pm: ProductMetric) -> np.ndarray:
     if count > GENERATOR_CAP:
         raise DomainError(f"{count} polar generators exceed the cap "
                           f"{GENERATOR_CAP}")
+    n = pm.n_configs
     per_site = [_site_dipoles(pm, s) for s in range(pm.n_sites)]
-    gens = np.zeros((count, pm.n_configs))
+    gens = np.empty((count, n))
     row = 0
     for mask in range(1, 2 ** pm.n_sites):
         chosen = [per_site[s] for s in range(pm.n_sites) if mask >> s & 1]
-        for combo in itertools.product(*chosen):
-            g = combo[0].copy()
-            for v in combo[1:]:
-                g += v
-            gens[row] = g
-            row += 1
+        # every combination, the first chosen site slowest (the order of
+        # itertools.product), its dipoles summed left to right
+        acc = chosen[0]
+        for block in chosen[1:]:
+            acc = (acc[:, None] + block).reshape(-1, n)
+        gens[row:row + len(acc)] = acc
+        row += len(acc)
     return gens
 
 
@@ -202,40 +206,29 @@ class _PrimalProgram:
     def __init__(self, pm: ProductMetric):
         self.pm = pm
         n, ns = pm.n_configs, pm.n_sites
-        rows, rhs, senses = [], [], []
+        # per site and unordered pair, f_p - f_q <= d * budget_s for
+        # (p, q) = (i, j) then (j, i); then the total budget <= 1 and the
+        # gauge f[0] = 0 that pins the constant
+        blocks = []
         for s in range(ns):
-            d = pm.metrics[s]
-            for cfg in pm.configs():
-                i = pm.config_index(cfg)
-                for alt in range(cfg[s] + 1, pm.sizes[s]):
-                    other = list(cfg)
-                    other[s] = alt
-                    j = pm.config_index(other)
-                    for (p, q) in ((i, j), (j, i)):
-                        row = np.zeros(n + ns)
-                        row[p] = 1.0
-                        row[q] = -1.0
-                        row[n + s] = -d[cfg[s], alt]
-                        rows.append(row)
-                        rhs.append(0.0)
-                        senses.append("<=")
-        total_budget = np.zeros(n + ns)
-        total_budget[n:] = 1.0
-        rows.append(total_budget)
-        rhs.append(1.0)
-        senses.append("<=")
-        gauge = np.zeros(n + ns)          # pin f at one configuration
-        gauge[0] = 1.0
-        rows.append(gauge)
-        rhs.append(0.0)
-        senses.append("=")
-        self._lhs = np.array(rows)
-        self._rhs = np.array(rhs)
-        self._senses = senses
+            i, j, d = _site_pairs(pm, s)
+            up = j > i
+            p = np.stack([i[up], j[up]], axis=1).ravel()
+            q = np.stack([j[up], i[up]], axis=1).ravel()
+            block = np.zeros((p.size, n + ns))
+            block[np.arange(p.size), p] = 1.0
+            block[np.arange(p.size), q] = -1.0
+            block[:, n + s] = -np.repeat(d[up], 2)
+            blocks.append(block)
+        self._lhs = np.vstack(blocks + [np.r_[np.zeros(n), np.ones(ns)],
+                                        np.eye(1, n + ns)[0]])
+        m = self._lhs.shape[0]
+        self._rhs = np.zeros(m)
+        self._rhs[-2] = 1.0
+        self._senses = ["<="] * (m - 1) + ["="]
         self._bounds = [(None, None)] * n + [(0.0, None)] * ns
 
     def value(self, mu: np.ndarray) -> float:
-        n = self.pm.n_configs
         obj = np.concatenate([mu, np.zeros(self.pm.n_sites)])
         res = lp_solve(LinearProgram(obj, self._lhs, self._senses, self._rhs,
                                      self._bounds, maximize=True))
@@ -328,7 +321,9 @@ def star_norm(tp, pm: ProductMetric, *, tangent_tol: float = 1e-10) -> StarNorm:
     maximizes ``|g T'|`` over polar generators (extreme points of the
     zero-charge unit ball).  Both maxima of a convex function over a
     polytope are attained at listed extreme points, so the results are
-    exact up to LP accuracy.
+    exact up to LP accuracy.  That is one primal LP per configuration and
+    per polar generator; above :data:`_STAR_NORM_LP_CAP` of them (more than
+    two 3-state sites) :class:`DomainError` is raised before the first.
     """
     tp = np.asarray(tp, dtype=float)
     n = pm.n_configs
@@ -338,6 +333,15 @@ def star_norm(tp, pm: ProductMetric, *, tangent_tol: float = 1e-10) -> StarNorm:
     if defect > tangent_tol:
         raise DomainError(f"T' @ 1 = 0 violated by {defect:.3e}")
 
+    lps = n + generator_count(pm)
+    if lps > _STAR_NORM_LP_CAP:
+        k = max(pm.sizes)
+        fit = [m for m in range(1, pm.n_sites)
+               if k ** m + _generator_count((k,) * m) <= _STAR_NORM_LP_CAP]
+        raise DomainError(
+            f"the tangent norm needs {lps} linear programs, above the limit "
+            f"of {_STAR_NORM_LP_CAP} (at most {max(fit, default=0)} sites of "
+            f"{k} states)")
     prog = _PrimalProgram(pm)
     simplex_image = max(prog.value(tp[i, :]) for i in range(n))
     z_operator = max(prog.value(g @ tp) for g in polar_generators(pm))
@@ -414,10 +418,7 @@ def stationary_sensitivity(t, tp, *, tols: Tolerances = DEFAULT_TOLS,
     p = p / p.sum()
 
     # zero-charge basis: rows delta_{i+1} - delta_i
-    basis = np.zeros((n - 1, n))
-    for i in range(n - 1):
-        basis[i, i] = -1.0
-        basis[i, i + 1] = 1.0
+    basis = np.eye(n - 1, n, 1) - np.eye(n - 1, n)
 
     shrink = basis @ (np.eye(n) - t)              # rows stay zero-charge
     m_t, res, *_ = np.linalg.lstsq(basis.T, shrink.T, rcond=None)

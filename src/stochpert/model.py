@@ -248,11 +248,9 @@ class PcaModel:
                 f"{self.graph.n_sites} sites exceeds the desk-scale cap of "
                 f"{MAX_SITES} (3^{self.graph.n_sites} configurations)")
         # the largest rate: a site with all its neighbours in one state
-        cap = 1.0 / _local_rule(np.array(PLUS), self.graph.max_degree, 0,
-                                self.alpha, self.beta_override)[2]
-        if not 0.0 <= self.epsilon <= cap + 1e-15:
-            raise DomainError(
-                f"epsilon={self.epsilon} outside [0, {cap:g}] for this model")
+        _check_eps(self.epsilon,
+                   _local_rule(np.array(PLUS), self.graph.max_degree, 0,
+                               self.alpha, self.beta_override)[2])
 
     @property
     def n_sites(self) -> int:

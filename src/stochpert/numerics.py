@@ -4,6 +4,10 @@ Everything here is domain-agnostic: a two-phase dense simplex solver with
 Bland's anti-cycling rule, invariant-subspace splitting via an ordered real
 Schur form, a matrix exponential, and the Kronecker matrix of the Sylvester
 map ``X -> AX - XB``.  All operations are pure functions of their inputs.
+
+The simplex pivots its dense tableau with one rank-one numpy update.  It is
+kept instead of ``scipy.optimize.linprog``, whose import alone adds about
+20 MB to the process.
 """
 
 from __future__ import annotations
@@ -119,11 +123,15 @@ class LpResult:
         return self.status == "optimal"
 
 
-def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int,
+           buf: np.ndarray) -> None:
+    """Pivot on ``(row, col)``: one rank-one update of the whole tableau,
+    formed in the scratch array ``buf``; the pivot row is only scaled."""
     tab[row] /= tab[row, col]
-    for r in range(tab.shape[0]):
-        if r != row and tab[r, col] != 0.0:
-            tab[r] -= tab[r, col] * tab[row]
+    factor = tab[:, col].copy()
+    factor[row] = 0.0
+    np.multiply(factor[:, None], tab[row], out=buf)
+    tab -= buf
     basis[row] = col
 
 
@@ -134,42 +142,43 @@ def _bland_minimize(tab, basis, allowed, pivot_tol, max_iter):
     columns eligible to enter the basis.
     """
     m = tab.shape[0] - 1
+    buf = np.empty_like(tab)
     for _ in range(max_iter):
-        enter = -1
-        cost = tab[-1, :-1]
-        for j in np.flatnonzero(allowed):
-            if cost[j] < -pivot_tol:
-                enter = j
-                break
-        if enter < 0:
+        candidates = np.flatnonzero(allowed & (tab[-1, :-1] < -pivot_tol))
+        if candidates.size == 0:
             return "optimal"
+        enter = candidates[0]
         leave = -1
         best = np.inf
-        for i in range(m):
-            a = tab[i, enter]
-            if a > pivot_tol:
-                ratio = tab[i, -1] / a
-                # Bland tie-break: smallest basic-variable index
-                if ratio < best - 1e-12 or (
-                        ratio <= best + 1e-12
-                        and (leave < 0 or basis[i] < basis[leave])):
-                    best = min(best, ratio)
-                    leave = i
+        rows = np.flatnonzero(tab[:m, enter] > pivot_tol)
+        for i, ratio in zip(rows, tab[rows, -1] / tab[rows, enter]):
+            # Bland tie-break: smallest basic-variable index
+            if ratio < best - 1e-12 or (
+                    ratio <= best + 1e-12
+                    and (leave < 0 or basis[i] < basis[leave])):
+                best = min(best, ratio)
+                leave = i
         if leave < 0:
             return "unbounded"
-        _pivot(tab, basis, leave, enter)
+        _pivot(tab, basis, leave, enter, buf)
     raise NumericalError("simplex iteration cap exceeded")
 
 
 def lp_solve(lp: LinearProgram, *, feas_tol: float = 1e-9,
-             pivot_tol: float = 1e-11, max_iter: int = 50_000) -> LpResult:
+             pivot_tol: float = 1e-9, max_iter: int = 50_000) -> LpResult:
     """Solve a dense linear program exactly (two-phase simplex, Bland's rule).
 
-    Optimal points are feasible and optimal to within ``feas_tol``.
+    Variables become shifted nonnegative parts (two when free, plus a
+    ``<=`` row when boxed); phase 1 drives out the artificial basis and
+    drops redundant rows, phase 2 minimizes.  Bland's rule cannot cycle;
+    ``max_iter`` caps the pivots of each phase, and each pivot is one pass
+    over the dense tableau.  Entries up to ``pivot_tol`` count as zero.
+    Optimal points are feasible (relative to the row scale) and optimal to
+    within ``feas_tol``; an end that misses that raises NumericalError.
     Infeasible and unbounded programs are reported as statuses, not raised.
     """
     n = lp.objective.size
-    cmin = -lp.objective if lp.maximize else lp.objective.copy()
+    cmin = -lp.objective if lp.maximize else lp.objective
 
     # substitute every variable by nonnegative ones: x = shift + sum sign * u
     shift = np.zeros(n)
@@ -187,28 +196,22 @@ def lp_solve(lp: LinearProgram, *, feas_tol: float = 1e-9,
         else:
             umap.append((j, 1.0))
             umap.append((j, -1.0))
-    nu = len(umap)
+    cols, sgns = (np.array(v) for v in zip(*umap))
+    nu = cols.size
 
-    rows = [lp.lhs[i] for i in range(lp.rhs.size)]
-    senses = list(lp.senses)
-    rhs = list(lp.rhs - lp.lhs @ shift)
-
-    a_u = np.zeros((len(rows) + len(box_rows), nu))
-    for k, (j, sgn) in enumerate(umap):
-        a_u[:len(rows), k] = sgn * np.array([r[j] for r in rows])
-    for extra, (ucol, ub) in enumerate(box_rows):
-        a_u[len(rows) + extra, ucol] = 1.0
-        senses.append("<=")
-        rhs.append(ub)
-    m = a_u.shape[0]
-    rhs = np.asarray(rhs, dtype=float)
-
-    # slack/surplus columns, one per inequality row
-    ineq = [i for i in range(m) if senses[i] != "="]
-    a_s = np.zeros((m, len(ineq)))
-    for k, i in enumerate(ineq):
-        a_s[i, k] = 1.0 if senses[i] == "<=" else -1.0
-    body = np.hstack([a_u, a_s])
+    # one row u <= hi - lo per boxed variable after the program's own rows
+    m0, nb = lp.rhs.size, len(box_rows)
+    m = m0 + nb
+    senses = np.array(list(lp.senses) + ["<="] * nb, dtype="<U2")
+    rhs = np.concatenate([lp.rhs - lp.lhs @ shift, [ub for _, ub in box_rows]])
+    # the u columns, then one slack/surplus column per inequality row
+    ineq = np.flatnonzero(senses != "=")
+    ncols = nu + ineq.size
+    body = np.zeros((m, ncols))
+    body[:m0, :nu] = sgns * lp.lhs[:, cols]
+    body[m0 + np.arange(nb), [ucol for ucol, _ in box_rows]] = 1.0
+    body[ineq, nu + np.arange(ineq.size)] = np.where(senses[ineq] == "<=",
+                                                     1.0, -1.0)
 
     # flip rows so the right-hand side is nonnegative
     neg = rhs < 0
@@ -216,27 +219,20 @@ def lp_solve(lp: LinearProgram, *, feas_tol: float = 1e-9,
     rhs = np.where(neg, -rhs, rhs)
 
     # artificial basis; reuse a +1 slack column where one survived the flip
-    ncols = body.shape[1]
     basis = np.full(m, -1, dtype=int)
-    need_art = []
-    for k, i in enumerate(ineq):
-        if body[i, nu + k] > 0.5 and basis[i] < 0:
-            basis[i] = nu + k
-    for i in range(m):
-        if basis[i] < 0:
-            need_art.append(i)
-    a_art = np.zeros((m, len(need_art)))
-    for k, i in enumerate(need_art):
-        a_art[i, k] = 1.0
-        basis[i] = ncols + k
-    full = np.hstack([body, a_art])
-    total = full.shape[1]
+    slack = nu + np.arange(ineq.size)
+    usable = body[ineq, slack] > 0.5
+    basis[ineq[usable]] = slack[usable]
+    need_art = np.flatnonzero(basis < 0)
+    basis[need_art] = ncols + np.arange(need_art.size)
+    total = ncols + need_art.size
 
     tab = np.zeros((m + 1, total + 1))
-    tab[:m, :total] = full
+    tab[:m, :ncols] = body
+    tab[need_art, basis[need_art]] = 1.0
     tab[:m, -1] = rhs
 
-    if need_art:
+    if need_art.size:
         # phase 1: minimize the artificial sum
         for i in need_art:
             tab[-1, :] -= tab[i, :]
@@ -247,14 +243,13 @@ def lp_solve(lp: LinearProgram, *, feas_tol: float = 1e-9,
             return LpResult("infeasible")
         # drive artificials out of the basis; drop redundant rows
         keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= ncols:
-                j = next((c for c in range(ncols)
-                          if abs(tab[i, c]) > pivot_tol), -1)
-                if j >= 0:
-                    _pivot(tab, basis, i, j)
-                else:
-                    keep[i] = False
+        buf = np.empty_like(tab)
+        for i in np.flatnonzero(basis >= ncols):
+            nonzero = np.flatnonzero(np.abs(tab[i, :ncols]) > pivot_tol)
+            if nonzero.size:
+                _pivot(tab, basis, i, nonzero[0], buf)
+            else:
+                keep[i] = False
         if not np.all(keep):
             tab = np.vstack([tab[:m][keep], tab[-1:]])
             basis = basis[keep]
@@ -262,13 +257,12 @@ def lp_solve(lp: LinearProgram, *, feas_tol: float = 1e-9,
 
     # phase 2: original objective
     tab[-1, :] = 0.0
-    tab[-1, :nu] = [sgn * cmin[j] for j, sgn in umap]
+    tab[-1, :nu] = sgns * cmin[cols]
     for i in range(m):
         cb = tab[-1, basis[i]]
         if cb != 0.0:
             tab[-1, :] -= cb * tab[i, :]
-    allowed = np.zeros(tab.shape[1] - 1, dtype=bool)
-    allowed[:ncols] = True
+    allowed = np.arange(tab.shape[1] - 1) < ncols
     status = _bland_minimize(tab, basis, allowed, pivot_tol, max_iter)
     if status == "unbounded":
         return LpResult("unbounded")
@@ -276,8 +270,13 @@ def lp_solve(lp: LinearProgram, *, feas_tol: float = 1e-9,
     u = np.zeros(tab.shape[1] - 1)
     u[basis] = tab[:m, -1]
     x = shift.copy()
-    for k, (j, sgn) in enumerate(umap):
-        x[j] += sgn * u[k]
+    np.add.at(x, cols, sgns * u[:nu])
+    # a tableau that lost accuracy can end "optimal" at an infeasible point
+    v = u[:ncols]
+    miss = max(np.abs(body @ v - rhs).max(initial=0.0), -v.min())
+    if miss > feas_tol * (1.0 + np.abs(body) @ np.abs(v)).max(initial=1.0):
+        raise NumericalError("simplex lost accuracy: its optimum misses a "
+                             f"constraint by {miss:.3e}")
     return LpResult("optimal", float(lp.objective @ x), x)
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -45,6 +46,18 @@ class TestSpectrum:
                     for c in rep["result"]["clusters"]}
         assert clusters == expect
         assert rep["result"]["gap"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("doc", [PATH2, PATH3, dict(PATH3, alpha=0.3)])
+    def test_gap_is_smallest_pairwise_centre_distance(self, capsys,
+                                                      model_config, doc):
+        code, rep = run_json(capsys, ["spectrum", "--config",
+                                      model_config(doc)])
+        assert code == 0
+        centres = [complex(c["center_re"], c["center_im"])
+                   for c in rep["result"]["clusters"]]
+        assert len(centres) > 2
+        assert rep["result"]["gap"] == min(
+            abs(a - b) for i, a in enumerate(centres) for b in centres[i + 1:])
 
 
 class TestErgodicity:
@@ -114,6 +127,16 @@ class TestDobrushinCommand:
                                       model_config(SINGLE)])
         assert code == 0
         assert rep["result"]["tangent_norm"] > 0
+
+    def test_tangent_norm_beyond_two_sites_refused_up_front(self, capsys,
+                                                            model_config):
+        start = time.perf_counter()
+        code = main(["dobrushin", "--config", model_config(PATH3)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "166401 linear programs" in err
+        assert "at most 2 sites of 3 states" in err
 
 
 class TestEffectiveAndContinue:

@@ -7,8 +7,9 @@ from stochpert.dobrushin import (ProductMetric, dependency_matrix,
                                  generator_count, polar_generators,
                                  site_lipschitz, star_norm,
                                  stationary_sensitivity, z_norm)
-from stochpert.errors import DomainError
+from stochpert.errors import DomainError, NumericalError
 from stochpert.model import PcaModel, SiteGraph, config_index, family_at_zero
+from stochpert.numerics import LinearProgram, lp_solve
 
 PM1 = ProductMetric.discrete((3,))
 PM2 = ProductMetric.discrete((3, 3))
@@ -122,6 +123,51 @@ class TestZNorm:
             mu = centered(rng.standard_normal(9))
             if np.abs(mu).max() > 1e-6:
                 assert z_norm(mu, PM2).value > 1e-8
+
+
+def _sqrt_metric(squared):
+    return np.sqrt(np.array(squared, dtype=float))
+
+
+#: point masses on product metrics with irrational distances, where the
+#: simplex once pivoted on roundoff-sized entries and ended "optimal" at an
+#: infeasible point; their distance is the largest site distance between them
+ROUNDOFF_CASES = [
+    (ProductMetric((2, 2, 3), (
+        1.0 - np.eye(2), 3.0 * (1.0 - np.eye(2)),
+        _sqrt_metric([[0, 65, 10], [65, 0, 37], [10, 37, 0]]))),
+     (1, 0, 2), (1, 0, 1), np.sqrt(37.0)),
+    (ProductMetric((3, 2, 2), (
+        _sqrt_metric([[0, 17, 10], [17, 0, 1], [10, 1, 0]]),
+        1.0 - np.eye(2), 1.0 - np.eye(2))),
+     (1, 1, 1), (0, 0, 0), np.sqrt(17.0)),
+]
+
+
+def point_masses(pm, x, y):
+    mu = np.zeros(pm.n_configs)
+    mu[pm.config_index(x)], mu[pm.config_index(y)] = 1.0, -1.0
+    return mu
+
+
+class TestRoundoff:
+    @pytest.mark.parametrize("pm,x,y,expected", ROUNDOFF_CASES)
+    def test_point_masses_at_largest_site_distance(self, pm, x, y, expected):
+        zn = z_norm(point_masses(pm, x, y), pm)
+        assert zn.primal == pytest.approx(expected, rel=1e-9)
+        assert zn.dual == pytest.approx(expected, rel=1e-9)
+
+    def test_lost_accuracy_is_raised_not_returned(self):
+        # the first case's dual LP with the old, roundoff-sized pivot
+        # tolerance: the tableau blows up, and the result must say so
+        pm, x, y, _ = ROUNDOFF_CASES[0]
+        mu = point_masses(pm, x, y)
+        gens = polar_generators(pm)
+        lp = LinearProgram(np.ones(len(gens)), gens.T[:-1],
+                           ["="] * (pm.n_configs - 1), mu[:-1],
+                           [(0.0, None)] * len(gens), maximize=False)
+        with pytest.raises(NumericalError, match="lost accuracy"):
+            lp_solve(lp, pivot_tol=1e-11)
 
 
 class TestDistance:

@@ -98,6 +98,14 @@ class TestAssembly:
         with pytest.raises(DomainError, match="cap"):
             PcaModel(SiteGraph(9, ()), 0.0, 0.1)
 
+    def test_eps_just_past_the_cap_refused_at_construction(self):
+        # 1/1.01 rounds down, so one ulp above it gives eps * rate > 1
+        eps = float(np.nextafter(1 / 1.01, 1))
+        with pytest.raises(DomainError, match="epsilon"):
+            PcaModel(SiteGraph.path(2), 0.01, eps)
+        model = PcaModel(SiteGraph.path(2), 0.01, 1 / 1.01)
+        assert model.operator().shape == (9, 9)
+
 
 class TestFamily:
     def test_worked_single_site_operators(self):

@@ -95,7 +95,9 @@ def test_operator_matches_per_configuration_reference(model, u):
 @given(models(), fractions)
 def test_derivative_is_a_tangent_and_matches_central_difference(model, u):
     h = 1e-5
-    eps = h + u * (eps_cap(model) - 2 * h)
+    # eps + h stays a step below the cap: at u = 1, cap - h + h can round
+    # one ulp past the rates, where the family rightly refuses
+    eps = h + u * (eps_cap(model) - 3 * h)
     fam = model.family()
     tp = fam.derivative(eps)
     assert np.abs(tp.sum(axis=1)).max() <= 1e-12
@@ -125,3 +127,18 @@ def test_eps_above_cap_is_refused(model, excess):
         fam.at(eps_cap(model) * (1.0 + excess))
     with pytest.raises(DomainError, match="epsilon"):
         fam.at(-excess)
+
+
+@settings(max_examples=40, deadline=None)
+@given(models(), st.integers(-4, 4))
+def test_model_constructs_exactly_when_its_operator_does(model, ulps):
+    eps = eps_cap(model)
+    for _ in range(abs(ulps)):
+        eps = float(np.nextafter(eps, np.sign(ulps) * np.inf))
+    try:
+        at_eps = PcaModel(model.graph, model.alpha, eps, model.beta_override)
+    except DomainError:
+        with pytest.raises(DomainError):
+            model.family().at(eps)
+        return
+    assert at_eps.operator().shape == (model.n_configs,) * 2
