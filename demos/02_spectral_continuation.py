@@ -24,9 +24,10 @@ res = continue_projection(p0, fam, eps_target=0.1, n_steps=8)
 print("\ncontinuation path:")
 print(f"{'eps':>8} {'|P^2-P|':>10} {'|[P,T]|':>10} {'rank':>4} "
       f"{'gap':>8} {'sep':>8}")
-for pt in res.path:
+for pt, proj in zip(res.path, res.projections):
+    rep = gap_report(fam.at(pt.eps), proj)
     print(f"{pt.eps:8.4f} {pt.phi_residual:10.2e} {pt.comm_residual:10.2e} "
-          f"{pt.rank:4d} {pt.gap:8.4f} {pt.sep:8.4f}")
+          f"{pt.rank:4d} {rep.gap:8.4f} {rep.sep:8.4f}")
 
 exact = spectral_projection(fam.at(0.1), Disk(1.0, 0.5))
 gap = np.abs(res.projection.matrix - exact.matrix).max()

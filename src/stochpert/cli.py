@@ -158,20 +158,31 @@ def _model_of(cfg: dict, eps: float | None = None,
 
 
 def _cluster(eigs: np.ndarray, tol: float = 1e-8):
-    clusters: list[list[complex]] = []
+    """Greedy clusters of the eigenvalues taken in (re, im) order: each
+    joins the first cluster whose running centre lies within ``tol``.
+
+    A cluster whose centre lies more than ``tol`` left of an eigenvalue can
+    match none of the later ones, so only the clusters still live are
+    scanned.  Each centre is the running sum over the count, summed in
+    arrival order.
+    """
+    clusters: list[list] = []       # [sum, count], in creation order
+    live: list[list] = []
     for lam in sorted(eigs, key=lambda z: (z.real, z.imag)):
-        for members in clusters:
-            center = sum(members) / len(members)
-            if abs(lam - center) <= tol:
-                members.append(lam)
+        live = [c for c in live if lam.real - (c[0] / c[1]).real <= tol]
+        for c in live:
+            if abs(lam - c[0] / c[1]) <= tol:
+                c[0] += lam
+                c[1] += 1
                 break
         else:
-            clusters.append([lam])
+            clusters.append([lam, 1])
+            live.append(clusters[-1])
     out = []
-    for members in clusters:
-        center = sum(members) / len(members)
+    for total, count in clusters:
+        center = total / count
         out.append({"center_re": center.real, "center_im": center.imag,
-                    "count": len(members)})
+                    "count": count})
     out.sort(key=lambda c: (-c["count"], c["center_re"]))
     return out
 
@@ -286,27 +297,40 @@ def cmd_sylvester(cfg, args):
     return {"X": x.tolist(), "residual_fro": resid, "method": method}, None
 
 
+#: most sites ``continue`` runs: each reported node holds the brute-force
+#: separation of the 2^N slow against the 3^N - 2^N fast states, a
+#: Kronecker system of size 2^N (3^N - 2^N), capped at ``KRON_CAP``
+_CONTINUE_MAX_SITES = max(n for n in range(1, model.MAX_SITES + 1)
+                          if 2 ** n * (3 ** n - 2 ** n) <= sylvester.KRON_CAP)
+
+
 def cmd_continue(cfg, args):
     eps = _resolve_eps(cfg, args)[0]
     if eps <= 0:
         raise ConfigError("a positive --eps (or config epsilon) is required")
     steps = _resolve_steps(args, 8)
     mdl = _model_of(cfg, eps)
+    if mdl.n_sites > _CONTINUE_MAX_SITES:
+        raise DomainError(f"continue runs up to {_CONTINUE_MAX_SITES} sites "
+                          f"(the separation it reports is computed by brute "
+                          f"force), got {mdl.n_sites}")
     fam = mdl.family()
     p0 = projection.Projection(fam.t0)
     res = projection.continue_projection(p0, fam, eps, steps)
-    rows = [(pt.eps, pt.phi_residual, pt.comm_residual, pt.rank, pt.gap,
-             pt.sep) for pt in res.path]
+    rows = []
+    for pt, proj in zip(res.path, res.projections):
+        rep = projection.gap_report(fam.at(pt.eps), proj)
+        rows.append((pt.eps, pt.phi_residual, pt.comm_residual, pt.rank,
+                     rep.gap, rep.sep))
+    header = ("eps", "phi_residual", "comm_residual", "rank", "gap", "sep")
     result = {
         "epsilon": eps,
         "steps": steps,
         "rank": res.projection.rank,
         "projection": res.projection.matrix.tolist(),
-        "path": [dict(zip(("eps", "phi_residual", "comm_residual", "rank",
-                           "gap", "sep"), row)) for row in rows],
+        "path": [dict(zip(header, row)) for row in rows],
     }
-    return result, (("eps", "phi_residual", "comm_residual", "rank", "gap",
-                     "sep"), rows)
+    return result, (header, rows)
 
 
 def cmd_effective(cfg, args):

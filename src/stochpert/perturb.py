@@ -97,9 +97,10 @@ def integrate_gauge(family, eps_target: float, n_steps: int = 64, *,
     """Integrate ``d psi / d eps = S(eps) psi`` with classical fourth-order
     steps on a uniform grid.
 
-    The projection path (and with it ``S``) is evaluated on the half-step
-    grid by continuation.  The conjugation identity and the preservation of
-    the constant function are verified at every node.
+    The projection path and its tangents (and with them ``S``) are
+    evaluated on the half-step grid by continuation.  The conjugation
+    identity and the preservation of the constant function are verified at
+    every node.
     """
     t0 = family.t0
     p0 = Projection(t0, tols=tols)
@@ -109,12 +110,8 @@ def integrate_gauge(family, eps_target: float, n_steps: int = 64, *,
                          (np.zeros_like(eye),), (p0,))
 
     fine = continue_projection(p0, family, eps_target, 2 * n_steps, tols=tols)
-    fine_eps = np.linspace(0.0, eps_target, 2 * n_steps + 1)
-    s_nodes = []
-    for eps, proj in zip(fine_eps, fine.projections):
-        pp = derivative(proj, family.at(eps), family.derivative(eps),
-                        tols=tols)
-        s_nodes.append(gauge_generator(proj, pp))
+    s_nodes = [gauge_generator(proj, pp)
+               for proj, pp in zip(fine.projections, fine.tangents)]
 
     h = eps_target / n_steps
     psi = np.eye(p0.n)

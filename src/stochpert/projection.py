@@ -184,8 +184,8 @@ def tangent_split(p: Projection, pi) -> tuple[np.ndarray, np.ndarray]:
     return tangent, pi - tangent
 
 
-def derivative(p: Projection, t, tp, *, tols: Tolerances = DEFAULT_TOLS,
-               sep_floor: float = 1e-8) -> np.ndarray:
+def derivative(p: Projection, t, tp, *,
+               tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Tangent response of the projection to an operator change.
 
     Solves the linearized commutation equation ``[P', T] + [P, T'] = 0``
@@ -194,9 +194,11 @@ def derivative(p: Projection, t, tp, *, tols: Tolerances = DEFAULT_TOLS,
 
         T_P U - U T_Q = G12,      T_Q V - V T_P = -G21,
 
-    where ``G`` is ``T'`` in the frame.  Requires ``[P, T]`` to vanish and
-    the block spectra to be separated; a collapsed gap raises
-    :class:`DomainError`.
+    where ``G`` is ``T'`` in the frame, each solved by
+    :func:`~stochpert.sylvester.solve_dense` (Schur forms, no Kronecker
+    matrix).  Requires ``[P, T]`` to vanish; block spectra closer than
+    ``tols.cluster`` (a collapsed gap) raise :class:`DomainError` from the
+    solve, which names the shared eigenvalue.
     """
     t = as_square(t, "T")
     tp = as_square(tp, "T'")
@@ -204,15 +206,10 @@ def derivative(p: Projection, t, tp, *, tols: Tolerances = DEFAULT_TOLS,
     comm = np.linalg.norm(p.matrix @ t - t @ p.matrix, "fro")
     if comm > 1e-8 * scale:
         raise DomainError(f"P and T do not commute: |[P,T]| = {comm:.3e}")
-    t_p, _, _, t_q = p.frame.blocks(t)
-    if 0 < p.rank < p.n:
-        gap = min(sep_brute(t_p, t_q).value, sep_brute(t_q, t_p).value)
-        if gap < sep_floor:
-            raise DomainError(
-                f"spectral gap collapsed: sep(T_P, T_Q) = {gap:.3e}")
-    g11, g12, g21, g22 = p.frame.blocks(tp)
     if p.rank == 0 or p.rank == p.n:
         return np.zeros_like(t)
+    t_p, _, _, t_q = p.frame.blocks(t)
+    g11, g12, g21, g22 = p.frame.blocks(tp)
     u = solve_dense(t_p, t_q, g12, tols=tols)
     v = solve_dense(t_q, t_p, -g21, tols=tols)
     pp = p.frame.from_offdiagonal(u, v)
@@ -234,15 +231,17 @@ class PathPoint:
     phi_residual: float
     comm_residual: float
     rank: int
-    gap: float
-    sep: float
 
 
 @dataclass(frozen=True)
 class ContinuationResult:
+    """Continued projection with one path point, projection and tangent
+    ``P'`` per uniform grid node."""
+
     projection: Projection
     path: tuple[PathPoint, ...]
-    projections: tuple[Projection, ...]   # one per recorded grid point
+    projections: tuple[Projection, ...]
+    tangents: tuple[np.ndarray, ...]
 
 
 def _newton_correct(p_mat, t, rank, tols, max_iter=50):
@@ -277,27 +276,34 @@ def continue_projection(p0: Projection, family, eps_target: float,
                         accept_tol: float = 1e-11) -> ContinuationResult:
     """Continue a projection along the operator family up to ``eps_target``.
 
-    Euler predictor with :func:`derivative`, Newton corrector in tangent
-    coordinates and idempotent retraction.  Steps are halved on corrector
-    failure down to ``eps_target / 2**10``; the rank is monitored and a
-    jump aborts the continuation.  The result records one
-    :class:`PathPoint` (and the projection) per uniform grid node.
+    Euler predictor along the tangent ``P'`` (:func:`derivative`, computed
+    once per accepted point), Newton corrector in tangent coordinates and
+    idempotent retraction.  A corrector :class:`NumericalError` halves the
+    step, down to ``eps_target / 2**10``; a :class:`DomainError` (a
+    collapsed spectral gap) and a rank jump abort the continuation.  The
+    result records, per uniform grid node, one :class:`PathPoint`, the
+    projection and its tangent; the separation of the blocks is left to
+    :func:`gap_report`.
     """
     if eps_target < 0:
         raise DomainError("eps_target must be nonnegative")
 
-    def record(eps, proj, t):
-        rep = gap_report(t, proj)
-        return PathPoint(eps, float(np.linalg.norm(phi(proj.matrix), "fro")),
-                         float(np.linalg.norm(proj.matrix @ t - t @ proj.matrix,
-                                              "fro")),
-                         proj.rank, rep.gap, rep.sep)
+    def record(eps, proj, tangent):
+        t = family.at(eps)
+        path.append(PathPoint(
+            eps, float(np.linalg.norm(phi(proj.matrix), "fro")),
+            float(np.linalg.norm(proj.matrix @ t - t @ proj.matrix, "fro")),
+            proj.rank))
+        projections.append(proj)
+        tangents.append(tangent)
 
-    t0 = family.at(0.0)
-    path = [record(0.0, p0, t0)]
-    projections = [p0]
+    path, projections, tangents = [], [], []
+    tangent = derivative(p0, family.at(0.0), family.derivative(0.0),
+                         tols=tols)
+    record(0.0, p0, tangent)
     if eps_target == 0 or n_steps < 1:
-        return ContinuationResult(p0, tuple(path), tuple(projections))
+        return ContinuationResult(p0, tuple(path), tuple(projections),
+                                  tuple(tangents))
 
     floor = eps_target / 2 ** 10
     grid = np.linspace(0.0, eps_target, n_steps + 1)
@@ -308,13 +314,11 @@ def continue_projection(p0: Projection, family, eps_target: float,
             step = target - eps
             while True:
                 try:
-                    pred = current.matrix + step * derivative(
-                        current, family.at(eps), family.derivative(eps),
-                        tols=tols)
                     corrected, phi_r, comm_r, _ = _newton_correct(
-                        pred, family.at(eps + step), current.rank, tols)
+                        current.matrix + step * tangent,
+                        family.at(eps + step), current.rank, tols)
                     break
-                except (NumericalError, DomainError):
+                except NumericalError:
                     step *= 0.5
                     if step < floor:
                         raise NumericalError(
@@ -329,10 +333,12 @@ def continue_projection(p0: Projection, family, eps_target: float,
                 raise NumericalError(
                     f"accepted-step residuals above {accept_tol:g}")
             current = proj
-            eps += step
-        path.append(record(target, current, family.at(target)))
-        projections.append(current)
-    return ContinuationResult(current, tuple(path), tuple(projections))
+            eps = target if step == target - eps else eps + step
+            tangent = derivative(current, family.at(eps),
+                                 family.derivative(eps), tols=tols)
+        record(target, current, tangent)
+    return ContinuationResult(current, tuple(path), tuple(projections),
+                              tuple(tangents))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +355,8 @@ class GapReport:
 
 def gap_report(t, p: Projection) -> GapReport:
     """Block spectra of ``T`` in the frame of ``P``, their distance, and the
-    brute-force separation of the diagonal blocks."""
+    brute-force separation of the diagonal blocks (Kronecker-sized: the
+    blocks' sizes multiply to at most ``KRON_CAP``)."""
     t = as_square(t, "T")
     t_p, _, _, t_q = p.frame.blocks(t)
     lam_p = np.linalg.eigvals(t_p) if t_p.size else np.zeros(0, complex)

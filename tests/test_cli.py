@@ -5,8 +5,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stochpert.cli import main
+from stochpert.cli import _cluster, main
+from stochpert.model import PcaModel, SiteGraph
 
 
 @pytest.fixture
@@ -30,6 +32,32 @@ PATH3 = {"graph": {"nodes": 3, "edges": [[0, 1], [1, 2]]}, "alpha": 0.0,
          "epsilon": 0.1, "beta_override": None}
 SINGLE = {"graph": {"nodes": 1, "edges": []}, "alpha": 0.0, "epsilon": 0.1,
           "beta_override": None}
+
+
+def path_config(n):
+    return {"graph": {"nodes": n, "edges": [[i, i + 1] for i in range(n - 1)]},
+            "alpha": 0.2, "epsilon": 0.05, "beta_override": None}
+
+
+def reference_cluster(eigs, tol=1e-8):
+    """The O(c^2) clustering ``_cluster`` must reproduce exactly: every
+    eigenvalue, in (re, im) order, scans every cluster."""
+    clusters = []
+    for lam in sorted(eigs, key=lambda z: (z.real, z.imag)):
+        for members in clusters:
+            center = sum(members) / len(members)
+            if abs(lam - center) <= tol:
+                members.append(lam)
+                break
+        else:
+            clusters.append([lam])
+    out = []
+    for members in clusters:
+        center = sum(members) / len(members)
+        out.append({"center_re": center.real, "center_im": center.imag,
+                    "count": len(members)})
+    out.sort(key=lambda c: (-c["count"], c["center_re"]))
+    return out
 
 
 class TestSpectrum:
@@ -58,6 +86,34 @@ class TestSpectrum:
         assert len(centres) > 2
         assert rep["result"]["gap"] == min(
             abs(a - b) for i, a in enumerate(centres) for b in centres[i + 1:])
+
+
+class TestCluster:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 4), alpha=st.floats(0.0, 0.5),
+           frac=st.floats(0.0, 1.0))
+    def test_random_models_match_reference(self, n, alpha, frac):
+        # eps up to the cap 1 / (1 + 2 alpha) of a path's degree-2 sites
+        eps = frac / (1.0 + 2.0 * alpha)
+        eigs = np.linalg.eigvals(
+            PcaModel(SiteGraph.path(n), alpha, eps).operator())
+        assert _cluster(eigs) == reference_cluster(eigs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-4, 4)),
+                    min_size=1, max_size=40),
+           st.sampled_from([0.3e-8, 0.5e-8, 0.7e-8, 1e-8]))
+    def test_near_degenerate_lists_match_reference(self, points, spacing):
+        # lattice points a fraction of the tolerance apart, so clusters
+        # chain, compete for members and drift as members join
+        eigs = np.array([complex(0.5 + spacing * i, spacing * j)
+                         for i, j in points])
+        assert _cluster(eigs) == reference_cluster(eigs)
+
+    def test_conjugate_pairs_and_exact_ties(self):
+        eigs = np.array([1.0, 1.0, 1.0 + 1e-8, 0.5 + 1e-9j, 0.5 - 1e-9j,
+                         0.5 + 0.3j, 0.5 - 0.3j, 0.5 + 2e-8, -0.2, -0.2])
+        assert _cluster(eigs) == reference_cluster(eigs)
 
 
 class TestErgodicity:
@@ -168,6 +224,32 @@ class TestEffectiveAndContinue:
         assert rep["result"]["rank"] == 4
         assert len(rep["result"]["path"]) == 5
         assert (tmp_path / "cont.csv").exists()
+
+    def test_continue_beyond_four_sites_refused_up_front(self, capsys,
+                                                         model_config):
+        start = time.perf_counter()
+        code = main(["continue", "--config", model_config(path_config(5))])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "continue runs up to 4 sites" in capsys.readouterr().err
+
+    def test_continue_at_four_sites_runs(self, capsys, model_config):
+        code, rep = run_json(capsys, ["continue", "--config",
+                                      model_config(path_config(4)),
+                                      "--steps", "1"])
+        assert code == 0
+        assert rep["result"]["rank"] == 16
+        assert all(pt["sep"] > 0 for pt in rep["result"]["path"])
+
+    def test_order_two_at_five_sites(self, capsys, model_config):
+        code, rep = run_json(capsys, ["effective", "--config",
+                                      model_config(path_config(5)),
+                                      "--order", "2"])
+        assert code == 0
+        m = np.array(rep["result"]["matrix"])
+        assert m.shape == (32, 32)
+        assert np.abs(m.sum(axis=1) - 1.0).max() <= 1e-8
+        assert m.min() >= -1e-12
 
 
 class TestErrorsAndReproducibility:

@@ -239,6 +239,30 @@ class TestContinuation:
         fam = constant_family(T0_1SITE)
         res = continue_projection(Projection(T0_1SITE), fam, 0.0, 4)
         assert len(res.path) == 1
+        assert len(res.tangents) == 1
+
+    @pytest.mark.parametrize("n,alpha,eps,steps", [
+        (1, 0.0, 0.1, 4), (2, 0.3, 0.08, 5), (3, 0.2, 0.05, 3)])
+    def test_tangents_are_the_derivatives_at_the_grid_nodes(self, n, alpha,
+                                                            eps, steps):
+        fam = PcaModel(SiteGraph.path(n), alpha, 0.0).family()
+        res = continue_projection(Projection(fam.t0), fam, eps, steps)
+        grid = np.linspace(0.0, eps, steps + 1)
+        assert [pt.eps for pt in res.path] == list(grid)
+        assert len(res.tangents) == len(res.projections) == steps + 1
+        for k, (proj, tangent) in enumerate(zip(res.projections,
+                                                res.tangents)):
+            assert np.array_equal(tangent, derivative(
+                proj, fam.at(grid[k]), fam.derivative(grid[k])))
+
+    def test_collapsed_gap_raises_domain_error_at_once(self):
+        # the gap of 1e-10 is below tols.cluster from the start: a domain
+        # error, not a step-halving retry ending in "stalled"
+        t = np.diag([1.0, 1.0 - 1e-10])
+        fam = PerturbationFamily(lambda e: t, lambda e: np.zeros((2, 2)), t,
+                                 np.zeros((2, 2)))
+        with pytest.raises(DomainError, match="gap"):
+            continue_projection(Projection(np.diag([1.0, 0.0])), fam, 0.1, 4)
 
 
 class TestGapReport:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from stochpert.errors import DomainError, NumericalError
-from stochpert.sylvester import (sep_bound_ct, sep_bound_discrete, sep_brute,
-                                 solve_dense, solve_integral, solve_series)
+from stochpert.sylvester import (_quasi_triangular_eigvals, sep_bound_ct,
+                                 sep_bound_discrete, sep_brute, solve_dense,
+                                 solve_integral, solve_series)
 
 
 def rand_sym(rng, n, lo, hi):
@@ -59,6 +62,69 @@ class TestSolveDense:
     def test_shared_eigenvalue_named(self):
         with pytest.raises(DomainError, match="0.7"):
             solve_dense(np.diag([0.7, 2.0]), np.diag([0.7]), np.ones((2, 1)))
+
+    @pytest.mark.parametrize("method", ["schur", "kron"])
+    def test_shared_complex_pair_named(self, method):
+        # the pair 0.3 +/- 0.8i sits in a 2x2 block of both Schur forms
+        rng = np.random.default_rng(12)
+        rot = np.array([[0.3, 0.8], [-0.8, 0.3]])
+        qa = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        qb = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+        a = qa @ scipy.linalg.block_diag(rot, 2.0) @ qa.T
+        b = qb @ rot @ qb.T
+        with pytest.raises(DomainError, match=r"0\.3[+-]0\.8j.*gap"):
+            solve_dense(a, b, np.ones((3, 2)), method=method)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(DomainError, match="unknown method"):
+            solve_dense([[2.0]], [[1.0]], [[3.0]], method="lu")
+
+
+def quasi_block_matrix(rng, size, centre, nonnormal):
+    """Orthogonal similarity of a block upper-triangular matrix whose
+    diagonal holds real eigenvalues and 2x2 rotation blocks (complex pairs)
+    near ``centre``, plus coupling of size ``nonnormal`` above the blocks."""
+    d = np.zeros((size, size))
+    k = 0
+    while k < size:
+        re = centre + rng.uniform(-0.5, 0.5)
+        if k + 1 < size and rng.random() < 0.5:
+            im = rng.uniform(0.1, 1.0)
+            d[k:k + 2, k:k + 2] = [[re, im], [-im, re]]
+            k += 2
+        else:
+            d[k, k] = re
+            k += 1
+    d += nonnormal * np.triu(rng.uniform(-1.0, 1.0, (size, size)), 2)
+    q = np.linalg.qr(rng.standard_normal((size, size)))[0]
+    return q @ d @ q.T
+
+
+class TestSchurAgainstKron:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 7), n=st.integers(1, 7),
+           seed=st.integers(0, 2 ** 32 - 1),
+           gap=st.floats(1.5, 3.0), nonnormal=st.sampled_from([0.0, 1.0, 3.0]))
+    def test_schur_matches_kron(self, m, n, seed, gap, nonnormal):
+        rng = np.random.default_rng(seed)
+        a = quasi_block_matrix(rng, m, 1.0, nonnormal)
+        b = quasi_block_matrix(rng, n, 1.0 - gap, nonnormal)
+        c = rng.standard_normal((m, n))
+        x_schur = solve_dense(a, b, c, method="schur")
+        x_kron = solve_dense(a, b, c, method="kron")
+        assert np.abs(x_schur - x_kron).max() <= \
+            1e-10 * max(1.0, np.abs(x_kron).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+           nonnormal=st.sampled_from([0.0, 1.0, 3.0]))
+    def test_spectrum_read_off_the_schur_factor(self, size, seed, nonnormal):
+        a = quasi_block_matrix(np.random.default_rng(seed), size, 0.0,
+                               nonnormal)
+        lam = _quasi_triangular_eigvals(scipy.linalg.schur(a)[0])
+        ref = np.linalg.eigvals(a)
+        dist = np.abs(lam[:, None] - ref[None, :])
+        assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) < 1e-9
 
 
 class TestSolveSeries:
