@@ -222,21 +222,41 @@ def cmd_ergodicity(cfg, args):
     }, None
 
 
+def _point_masses(pair, n_sites: int) -> list:
+    """The two configurations of ``$.measure.point_masses``, each a list of
+    ``n_sites`` integer states 0, 1 or 2."""
+    where = "$.measure.point_masses"
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ConfigError(f"{where}: expected two configurations")
+    for i, cfg in enumerate(pair):
+        if not isinstance(cfg, list) or len(cfg) != n_sites:
+            raise ConfigError(f"{where}[{i}]: expected a list of {n_sites} "
+                              f"states, got {cfg!r}")
+        for s, x in enumerate(cfg):
+            if type(x) is not int or not 0 <= x <= 2:
+                raise ConfigError(f"{where}[{i}][{s}]: expected a state 0, "
+                                  f"1 or 2, got {x!r}")
+    return pair
+
+
 def cmd_dobrushin(cfg, args):
     eps = _resolve_eps(cfg, args)[0]
     mdl = _model_of(cfg, eps, extra_allowed=("measure",))
     pm = dobrushin.ProductMetric.discrete(mdl.product_metric_sizes())
     measure = cfg.get("measure")
     if measure is not None:
+        if not isinstance(measure, dict):
+            raise ConfigError("$.measure: expected 'values' or 'point_masses'")
         if "values" in measure:
-            mu = np.asarray(measure["values"], dtype=float)
+            try:
+                mu = np.asarray(measure["values"], dtype=float)
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"$.measure.values: not a numeric vector: "
+                                  f"{e}") from e
         elif "point_masses" in measure:
-            pair = measure["point_masses"]
-            if len(pair) != 2:
-                raise ConfigError("$.measure.point_masses: expected two "
-                                  "configurations")
-            mu = (model.delta_measure(pair[0], mdl.n_sites)
-                  - model.delta_measure(pair[1], mdl.n_sites))
+            x, y = _point_masses(measure["point_masses"], mdl.n_sites)
+            mu = (model.delta_measure(x, mdl.n_sites)
+                  - model.delta_measure(y, mdl.n_sites))
         else:
             raise ConfigError("$.measure: expected 'values' or 'point_masses'")
         zn = dobrushin.z_norm(mu, pm)

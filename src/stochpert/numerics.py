@@ -7,7 +7,10 @@ map ``X -> AX - XB``.  All operations are pure functions of their inputs.
 
 The simplex pivots its dense tableau with one rank-one numpy update.  It is
 kept instead of ``scipy.optimize.linprog``, whose import alone adds about
-20 MB to the process.
+20 MB to the process.  Programs that share every constraint and differ
+only in the objective are solved together (``lp_solve_many``): phase 1
+runs once, and each objective's phase 2 starts from the optimal basis of
+the one before, its tableau recomputed from the program's data.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "LinearProgram",
     "LpResult",
     "lp_solve",
+    "lp_solve_many",
     "Disk",
     "SubspaceSplit",
     "eigen_split",
@@ -144,14 +148,16 @@ def _bland_minimize(tab, basis, allowed, pivot_tol, max_iter):
     m = tab.shape[0] - 1
     buf = np.empty_like(tab)
     for _ in range(max_iter):
-        candidates = np.flatnonzero(allowed & (tab[-1, :-1] < -pivot_tol))
-        if candidates.size == 0:
+        candidates = allowed & (tab[-1, :-1] < -pivot_tol)
+        enter = int(candidates.argmax())
+        if not candidates[enter]:
             return "optimal"
-        enter = candidates[0]
         leave = -1
         best = np.inf
         rows = np.flatnonzero(tab[:m, enter] > pivot_tol)
-        for i, ratio in zip(rows, tab[rows, -1] / tab[rows, enter]):
+        ratios = tab[rows, -1] / tab[rows, enter]
+        # the ratio test on Python floats: the same comparisons, faster
+        for i, ratio in zip(rows.tolist(), ratios.tolist()):
             # Bland tie-break: smallest basic-variable index
             if ratio < best - 1e-12 or (
                     ratio <= best + 1e-12
@@ -168,7 +174,7 @@ def lp_solve(lp: LinearProgram, *, feas_tol: float = 1e-9,
              pivot_tol: float = 1e-9, max_iter: int = 50_000) -> LpResult:
     """Solve a dense linear program exactly (two-phase simplex, Bland's rule).
 
-    Variables become shifted nonnegative parts (two when free, plus a
+    The one-objective case of :func:`lp_solve_many`.  Variables become shifted nonnegative parts (two when free, plus a
     ``<=`` row when boxed); phase 1 drives out the artificial basis and
     drops redundant rows, phase 2 minimizes.  Bland's rule cannot cycle;
     ``max_iter`` caps the pivots of each phase, and each pivot is one pass
@@ -177,8 +183,39 @@ def lp_solve(lp: LinearProgram, *, feas_tol: float = 1e-9,
     within ``feas_tol``; an end that misses that raises NumericalError.
     Infeasible and unbounded programs are reported as statuses, not raised.
     """
+    return lp_solve_many(lp, lp.objective[None, :], feas_tol=feas_tol,
+                         pivot_tol=pivot_tol, max_iter=max_iter)[0]
+
+
+def lp_solve_many(lp: LinearProgram, objectives, *, feas_tol: float = 1e-9,
+                  pivot_tol: float = 1e-9, max_iter: int = 50_000,
+                  ) -> list[LpResult]:
+    """Solve ``lp`` once per row of ``objectives``, which take the place of
+    ``lp.objective`` (each maximized or minimized as ``lp.maximize`` says).
+
+    Bound substitution, tableau assembly, phase 1 and the drive-out of the
+    artificials run once; an infeasible program is infeasible for every
+    objective.  Phase 2 then runs once per objective, in order, each
+    starting from the basis the previous one ended on: only the cost row
+    changes, so that basis stays primal-feasible (also after an
+    "unbounded" end, which stops before its pivot).  Before each warm
+    start the tableau rows are recomputed from the program's data at that
+    basis (one dense solve), so rounding does not pile up from one
+    objective to the next.  Tolerances, the per-phase pivot cap and the
+    per-objective feasibility check of the optimum are those of
+    :func:`lp_solve`.  A warm start can set out from a badly conditioned
+    basis and lose accuracy on the way: one that meets a singular basis,
+    fails the feasibility check, exceeds the pivot cap or ends unbounded
+    is run again from the basis phase 1 left, exactly as :func:`lp_solve`
+    runs it, and that result stands.
+    """
     n = lp.objective.size
-    cmin = -lp.objective if lp.maximize else lp.objective
+    objectives = np.asarray(objectives, dtype=float)
+    if objectives.ndim != 2 or objectives.shape[1] != n:
+        raise DomainError(f"objectives of shape {objectives.shape} for "
+                          f"{n} variables")
+    if not np.all(np.isfinite(objectives)):
+        raise DomainError("linear program data must be finite")
 
     # substitute every variable by nonnegative ones: x = shift + sum sign * u
     shift = np.zeros(n)
@@ -232,6 +269,7 @@ def lp_solve(lp: LinearProgram, *, feas_tol: float = 1e-9,
     tab[need_art, basis[need_art]] = 1.0
     tab[:m, -1] = rhs
 
+    keep = np.ones(m, dtype=bool)
     if need_art.size:
         # phase 1: minimize the artificial sum
         for i in need_art:
@@ -240,9 +278,8 @@ def lp_solve(lp: LinearProgram, *, feas_tol: float = 1e-9,
         allowed = np.ones(total, dtype=bool)
         status = _bland_minimize(tab, basis, allowed, pivot_tol, max_iter)
         if status != "optimal" or -tab[-1, -1] > feas_tol:
-            return LpResult("infeasible")
+            return [LpResult("infeasible") for _ in objectives]
         # drive artificials out of the basis; drop redundant rows
-        keep = np.ones(m, dtype=bool)
         buf = np.empty_like(tab)
         for i in np.flatnonzero(basis >= ncols):
             nonzero = np.flatnonzero(np.abs(tab[i, :ncols]) > pivot_tol)
@@ -255,29 +292,61 @@ def lp_solve(lp: LinearProgram, *, feas_tol: float = 1e-9,
             basis = basis[keep]
             m = int(keep.sum())
 
-    # phase 2: original objective
-    tab[-1, :] = 0.0
-    tab[-1, :nu] = sgns * cmin[cols]
-    for i in range(m):
-        cb = tab[-1, basis[i]]
-        if cb != 0.0:
-            tab[-1, :] -= cb * tab[i, :]
     allowed = np.arange(tab.shape[1] - 1) < ncols
-    status = _bland_minimize(tab, basis, allowed, pivot_tol, max_iter)
-    if status == "unbounded":
-        return LpResult("unbounded")
 
-    u = np.zeros(tab.shape[1] - 1)
-    u[basis] = tab[:m, -1]
-    x = shift.copy()
-    np.add.at(x, cols, sgns * u[:nu])
-    # a tableau that lost accuracy can end "optimal" at an infeasible point
-    v = u[:ncols]
-    miss = max(np.abs(body @ v - rhs).max(initial=0.0), -v.min())
-    if miss > feas_tol * (1.0 + np.abs(body) @ np.abs(v)).max(initial=1.0):
-        raise NumericalError("simplex lost accuracy: its optimum misses a "
-                             f"constraint by {miss:.3e}")
-    return LpResult("optimal", float(lp.objective @ x), x)
+    def phase2(tab, basis, objective) -> LpResult:
+        """Minimize ``objective`` from the tableau's basis, in place."""
+        cmin = -objective if lp.maximize else objective
+        tab[-1, :] = 0.0
+        tab[-1, :nu] = sgns * cmin[cols]
+        for i in range(m):
+            cb = tab[-1, basis[i]]
+            if cb != 0.0:
+                tab[-1, :] -= cb * tab[i, :]
+        status = _bland_minimize(tab, basis, allowed, pivot_tol, max_iter)
+        if status == "unbounded":
+            return LpResult("unbounded")
+
+        u = np.zeros(tab.shape[1] - 1)
+        u[basis] = tab[:m, -1]
+        x = shift.copy()
+        np.add.at(x, cols, sgns * u[:nu])
+        # a tableau that lost accuracy can end "optimal" at an infeasible
+        # point
+        v = u[:ncols]
+        miss = max(np.abs(body @ v - rhs).max(initial=0.0), -v.min())
+        if miss > feas_tol * (1.0 + np.abs(body) @ np.abs(v)).max(
+                initial=1.0):
+            raise NumericalError("simplex lost accuracy: its optimum misses "
+                                 f"a constraint by {miss:.3e}")
+        return LpResult("optimal", float(objective @ x), x)
+
+    # phase 2, once per objective: the first from the basis phase 1 left,
+    # each later one from the basis the one before ended on
+    data = np.column_stack([body, rhs])[keep]
+    cold = tab.copy(), basis.copy()
+    results = []
+    for objective in objectives:
+        if not results:
+            results.append(phase2(tab, basis, objective))
+            continue
+        try:
+            # the rows at the warm basis, recomputed from the program's
+            # data so that rounding does not pile up across objectives
+            rows = np.linalg.solve(data[:, basis], data)
+            tab[:m, :ncols] = rows[:, :-1]
+            tab[:m, basis] = np.eye(m)
+            tab[:m, -1] = np.maximum(rows[:, -1], 0.0)
+            res = phase2(tab, basis, objective)
+        except (NumericalError, np.linalg.LinAlgError):
+            res = None
+        if res is None or not res.optimal:
+            # a warm start that fails its checks, or finds no optimum, is
+            # solved again from the phase-1 basis, as lp_solve would
+            tab, basis = cold[0].copy(), cold[1].copy()
+            res = phase2(tab, basis, objective)
+        results.append(res)
+    return results
 
 
 # ---------------------------------------------------------------------------

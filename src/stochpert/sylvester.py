@@ -85,6 +85,17 @@ def _require_disjoint(la: np.ndarray, lb: np.ndarray, tols: Tolerances):
             f"gap {dists[i, j]:.3e}); Sylvester equation is singular")
 
 
+def _as_rhs(c, a, b) -> np.ndarray:
+    """Validate and return ``C`` as a finite float matrix shaped for
+    ``AX - XB``."""
+    c = np.asarray(c, dtype=float)
+    if c.shape != (a.shape[0], b.shape[0]):
+        raise DomainError(f"C shape {c.shape} vs {(a.shape[0], b.shape[0])}")
+    if not np.isfinite(c).all():
+        raise DomainError("C has non-finite entries")
+    return c
+
+
 def solve_dense(a, b, c, *, method: str = "schur",
                 tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Solve ``AX - XB = C`` for disjoint spectra.
@@ -95,16 +106,15 @@ def solve_dense(a, b, c, *, method: str = "schur",
     ``R_A Y - Y R_B = Z_A^T C Z_B`` with LAPACK ``trsyl`` and returns
     ``Z_A Y Z_B^T``: O(m^3 + n^3 + mn(m + n)) work.  ``method="kron"``
     solves the (mn)-by-(mn) vectorized system directly and is the
-    reference.  Spectra closer than ``tols.cluster`` raise
-    :class:`DomainError` naming the shared eigenvalue; the relative
-    residual is verified against ``1e-10 (||A|| + ||B||) ||X||`` and a
-    failure raises :class:`NumericalError`.
+    reference.  Non-finite entries in ``A``, ``B`` or ``C`` and spectra
+    closer than ``tols.cluster`` raise :class:`DomainError`, the latter
+    naming the shared eigenvalue; the relative residual is verified
+    against ``1e-10 (||A|| + ||B||) ||X||`` and a failure raises
+    :class:`NumericalError`.
     """
     a = as_square(a, "A")
     b = as_square(b, "B")
-    c = np.asarray(c, dtype=float)
-    if c.shape != (a.shape[0], b.shape[0]):
-        raise DomainError(f"C shape {c.shape} vs {(a.shape[0], b.shape[0])}")
+    c = _as_rhs(c, a, b)
 
     if method == "schur":
         r_a, z_a = scipy.linalg.schur(a, check_finite=False)
@@ -143,9 +153,7 @@ def solve_series(a, b, c, *, n_max: int = 1000, tol: float = 1e-12,
     """
     a = as_square(a, "A")
     b = as_square(b, "B")
-    c = np.asarray(c, dtype=float)
-    if c.shape != (a.shape[0], b.shape[0]):
-        raise DomainError(f"C shape {c.shape} vs {(a.shape[0], b.shape[0])}")
+    c = _as_rhs(c, a, b)
     lb = np.linalg.eigvals(b)
     if np.abs(lb).min() < 1e-12:
         raise DomainError("B is singular; the series needs B^-1")
@@ -180,9 +188,7 @@ def solve_integral(a, b, c, r: float, *, panel_tol: float = 1e-14,
     """
     a = as_square(a, "A")
     b = as_square(b, "B")
-    c = np.asarray(c, dtype=float)
-    if c.shape != (a.shape[0], b.shape[0]):
-        raise DomainError(f"C shape {c.shape} vs {(a.shape[0], b.shape[0])}")
+    c = _as_rhs(c, a, b)
     r_a = float(np.linalg.eigvals(a).real.min())
     r_b = float(np.linalg.eigvals(b).real.max())
     if not r_b < r < r_a:

@@ -162,6 +162,17 @@ class TestSepAndSylvester:
         assert main(["sylvester", "--config", cfg]) == 1
         assert "eigenvalue" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["kron", "schur"])
+    def test_non_finite_rhs_is_domain_error(self, capsys, model_config,
+                                            method):
+        # Python's JSON reader accepts the NaN literal
+        cfg = model_config({"A": [[2.0]], "B": [[1.0]], "C": [[np.nan]],
+                            "method": method}, "syl.json")
+        assert main(["sylvester", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "C has non-finite entries" in captured.err
+        assert captured.out == ""
+
     def test_slow_series_is_numerical_failure(self, capsys, model_config):
         cfg = model_config({"A": [[0.9999]], "B": [[1.0001]], "C": [[1.0]],
                             "method": "series"}, "syl.json")
@@ -191,8 +202,37 @@ class TestDobrushinCommand:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         err = capsys.readouterr().err
-        assert "166401 linear programs" in err
+        assert "83214 linear programs" in err
         assert "at most 2 sites of 3 states" in err
+
+
+    @pytest.mark.parametrize("pair, where", [
+        ([["+", "-"], [0, 1]], "[0][0]"),
+        ([[-1, 0], [0, 1]], "[0][0]"),
+        ([[5, 0], [0, 1]], "[0][0]"),
+        ([[1.7, 0], [0, 1]], "[0][0]"),
+        ([[0, 0], [0, True]], "[1][1]"),
+        ([[0], [0, 1]], "[0]"),
+        ([[0, 0], 4], "[1]"),
+    ])
+    def test_bad_point_masses_are_config_errors(self, capsys, model_config,
+                                                pair, where):
+        doc = dict(PATH2, measure={"point_masses": pair})
+        assert main(["dobrushin", "--config", model_config(doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"config error: $.measure.point_masses{where}: expected ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("measure, where", [
+        ("values", "$.measure: "),
+        ({"values": ["a", 1, -1]}, "$.measure.values: "),
+    ])
+    def test_malformed_measure_is_config_error(self, capsys, model_config,
+                                               measure, where):
+        doc = dict(SINGLE, measure=measure)
+        assert main(["dobrushin", "--config", model_config(doc)]) == 3
+        assert capsys.readouterr().err.startswith(f"config error: {where}")
 
 
 class TestEffectiveAndContinue:

@@ -1,18 +1,21 @@
 """Property tests of the Dobrushin/LP layer: the vectorised constraint and
 generator tables against per-configuration references built from
 ``configs()`` and ``config_index``, the two norm routes against each other
-and against the seminorm, and the simplex against HiGHS."""
+and against the seminorm, the tangent norm against its per-LP loop, and
+the simplex against HiGHS."""
 
 import itertools
 
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
-from stochpert.dobrushin import (ProductMetric, _PrimalProgram, f_seminorm,
-                                 generator_count, polar_generators,
-                                 site_lipschitz, z_norm)
+from stochpert.dobrushin import (ProductMetric, _PrimalProgram, _one_per_sign,
+                                 f_seminorm, generator_count,
+                                 polar_generators, site_lipschitz, star_norm,
+                                 z_norm)
+from stochpert.errors import NumericalError
 from stochpert.numerics import LinearProgram, lp_solve
 
 #: keep the per-configuration references and the dual LP quick
@@ -20,12 +23,13 @@ MAX_GENERATORS = 5_000
 
 
 @st.composite
-def product_metrics(draw, max_sites=3):
-    """Up to ``max_sites`` sites of 2 or 3 states, each with the discrete
-    metric or the Euclidean metric of distinct integer points in the
-    plane."""
-    sizes = draw(st.lists(st.sampled_from([2, 3]), min_size=1,
-                          max_size=max_sites))
+def product_metrics(draw, max_sites=3, sizes=None):
+    """Up to ``max_sites`` sites of 2 or 3 states (or the given ``sizes``),
+    each with the discrete metric or the Euclidean metric of distinct
+    integer points in the plane."""
+    if sizes is None:
+        sizes = draw(st.lists(st.sampled_from([2, 3]), min_size=1,
+                              max_size=max_sites))
     metrics = []
     for k in sizes:
         if draw(st.booleans()):
@@ -129,6 +133,74 @@ def test_site_lipschitz_matches_per_configuration_reference(pm, data):
 @given(small_product_metrics())
 def test_polar_generators_match_per_configuration_reference(pm):
     assert np.array_equal(polar_generators(pm), reference_generators(pm))
+
+
+def reference_star_norm(tp, pm):
+    """The loop ``star_norm`` replaced: one cold-started primal LP per
+    configuration and per polar generator, both signs included."""
+    prog = _PrimalProgram(pm)
+    simplex_image = max(prog.value(tp[i, :]) for i in range(pm.n_configs))
+    z_operator = max(prog.value(g @ tp) for g in polar_generators(pm))
+    return z_operator, simplex_image
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_product_metrics())
+def test_one_generator_per_sign_pair(pm):
+    gens = polar_generators(pm)
+    kept = _one_per_sign(gens)
+    assert 2 * len(kept) == len(gens)
+    assert (sorted(map(tuple, np.vstack([kept, -kept])))
+            == sorted(map(tuple, gens)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([(3,), (2, 3), (3, 3)]).flatmap(
+    lambda sizes: product_metrics(sizes=sizes)), st.data())
+def test_star_norm_matches_per_lp_reference(pm, data):
+    n = pm.n_configs
+    tp = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=n * n,
+                                     max_size=n * n))).reshape(n, n)
+    tp -= tp.mean(axis=1, keepdims=True)
+    try:
+        expected = reference_star_norm(tp, pm)
+    except NumericalError:
+        # on a few Euclidean metrics one of the loop's own cold solves
+        # loses accuracy (see test_dobrushin.py::TestRoundoff); there is
+        # nothing to compare with then
+        event("per-LP reference lost accuracy")
+        assume(False)
+    for value, ref in zip(star_norm(tp, pm), expected):
+        assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+#: found by hypothesis: a 2 x 3 space with a Euclidean site metric (the
+#: squared distances given) and a T' with one +/-1 entry.  Warm starts
+#: carried over without recomputing the tableau ended "lost accuracy"
+#: (the first) or 1.9e-12 off (the second); in the third one warm start
+#: loses accuracy anyway and is solved again from the phase-1 basis
+WARM_START_CASES = [
+    ([[0, 17, 53], [17, 0, 10], [53, 10, 0]], (5, 5), -1.0),
+    ([[0, 5, 58], [5, 0, 29], [58, 29, 0]], (5, 5), 1.0),
+    ([[0, 34, 5], [34, 0, 65], [5, 65, 0]], (2, 5), -1.0),
+]
+
+
+@pytest.mark.parametrize("squared, entry, value", WARM_START_CASES)
+def test_star_norm_where_warm_starts_lose_accuracy(squared, entry, value):
+    d = np.sqrt(np.array(squared, dtype=float))
+    pm = ProductMetric((2, 3), (1.0 - np.eye(2), d))
+    tp = np.zeros((6, 6))
+    tp[entry] = value
+    tp -= tp.mean(axis=1, keepdims=True)
+    for got, ref in zip(star_norm(tp, pm), reference_star_norm(tp, pm)):
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_star_norm_of_zero_is_exactly_zero_on_two_sites():
+    sn = star_norm(np.zeros((9, 9)), ProductMetric.discrete((3, 3)))
+    assert sn == (0.0, 0.0)
+    assert sn.value == 0.0
 
 
 @settings(max_examples=25, deadline=None)

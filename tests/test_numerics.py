@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import event, given, settings, strategies as st
 
 from stochpert.errors import DomainError
 from stochpert.numerics import (Disk, LinearProgram, eigen_split, expm,
-                                lp_solve, sylvester_kron_matrix)
+                                lp_solve, lp_solve_many, sylvester_kron_matrix)
 
 
 def lp(c, A, senses, b, bounds, maximize=True):
@@ -96,6 +99,75 @@ class TestLpSolve:
         res = lp_solve(lp([1.0, 1.0, 1.0], A, ["<="] * 12, np.ones(12) * 2,
                           [(0.0, None)] * 3))
         assert res.value == pytest.approx(6.0, abs=1e-9)
+
+
+small_ints = st.integers(-3, 3)
+
+
+@st.composite
+def programs_and_objectives(draw):
+    """A small integer program with mixed senses and free, lower, upper and
+    boxed bounds, plus a list of objectives with a zero objective and an
+    unbounded one in the middle.  The last variable is in no constraint and
+    only the planted objective rewards it, so that objective is unbounded
+    on every feasible program."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    lhs = np.array(draw(st.lists(st.lists(small_ints, min_size=n,
+                                          max_size=n),
+                                 min_size=m, max_size=m)), float)
+    rhs = np.array(draw(st.lists(small_ints, min_size=m, max_size=m)), float)
+    senses = draw(st.lists(st.sampled_from(["<=", "=", ">="]), min_size=m,
+                           max_size=m))
+    bounds = []
+    for _ in range(n):
+        lo = draw(st.none() | small_ints)
+        hi = draw(st.none() | small_ints)
+        if lo is not None and hi is not None and lo > hi:
+            lo, hi = hi, lo
+        bounds.append((lo, hi))
+    maximize = draw(st.booleans())
+    objectives = [draw(st.lists(small_ints, min_size=n, max_size=n)) + [0]
+                  for _ in range(draw(st.integers(2, 6)))]
+    middle = draw(st.integers(1, len(objectives) - 1))
+    objectives.insert(middle, [0] * (n + 1))
+    objectives.insert(middle + 1, [0] * n + [1 if maximize else -1])
+    lp = LinearProgram(np.zeros(n + 1), np.hstack([lhs, np.zeros((m, 1))]),
+                       senses, rhs, bounds + [(0.0, None)], maximize)
+    return lp, np.array(objectives, float), middle
+
+
+class TestLpSolveMany:
+    @settings(max_examples=200, deadline=None)
+    @given(programs_and_objectives())
+    def test_matches_one_solve_per_objective(self, case):
+        lp, objectives, middle = case
+        many = lp_solve_many(lp, objectives)
+        assert len(many) == len(objectives)
+        event(many[0].status)
+        for objective, got in zip(objectives, many):
+            ref = lp_solve(dataclasses.replace(lp, objective=objective))
+            assert got.status == ref.status
+            if ref.optimal:
+                assert abs(got.value - ref.value) <= 1e-9 * max(
+                    1.0, abs(ref.value))
+        if many[0].status != "infeasible":
+            assert many[middle].value == 0.0
+            assert many[middle + 1].status == "unbounded"
+
+    def test_infeasible_for_every_objective(self):
+        res = lp_solve_many(lp([1.0], [[1.0], [1.0]], [">=", "<="],
+                               [1.0, 0.0], [(None, None)]),
+                            [[1.0], [-1.0], [0.0]])
+        assert [r.status for r in res] == ["infeasible"] * 3
+
+    def test_objective_shape_checked(self):
+        prog = lp([1.0, 1.0], [[1.0, 1.0]], ["<="], [1.0], [(0.0, None)] * 2)
+        with pytest.raises(DomainError, match="objectives of shape"):
+            lp_solve_many(prog, [1.0, 1.0])
+        with pytest.raises(DomainError, match="finite"):
+            lp_solve_many(prog, [[1.0, np.nan]])
+        assert lp_solve_many(prog, np.empty((0, 2))) == []
 
 
 class TestEigenSplit:

@@ -79,6 +79,14 @@ class TestSolveDense:
         with pytest.raises(DomainError, match="unknown method"):
             solve_dense([[2.0]], [[1.0]], [[3.0]], method="lu")
 
+    @pytest.mark.parametrize("method", ["schur", "kron"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_rejected(self, method, bad):
+        c = np.ones((2, 1))
+        c[1, 0] = bad
+        with pytest.raises(DomainError, match="C has non-finite"):
+            solve_dense(np.diag([2.0, 3.0]), np.diag([0.5]), c, method=method)
+
 
 def quasi_block_matrix(rng, size, centre, nonnormal):
     """Orthogonal similarity of a block upper-triangular matrix whose
