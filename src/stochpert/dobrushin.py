@@ -57,7 +57,12 @@ _STAR_NORM_LP_CAP = 1_000
 
 @dataclass(frozen=True)
 class ProductMetric:
-    """Per-site finite metric spaces; the default is the discrete metric."""
+    """Per-site finite metric spaces; the default is the discrete metric.
+
+    A distance matrix need only be symmetric to ``np.allclose``; it is
+    stored as the mean of it and its transpose, which is exactly symmetric
+    (and bit-for-bit the same matrix when it already was).  The +/-
+    pairing of polar generators relies on that symmetry."""
 
     sizes: tuple[int, ...]
     metrics: tuple[np.ndarray, ...]
@@ -65,6 +70,7 @@ class ProductMetric:
     def __post_init__(self):
         if len(self.sizes) != len(self.metrics):
             raise DomainError("one distance matrix required per site")
+        stored = []
         for s, (k, d) in enumerate(zip(self.sizes, self.metrics)):
             d = np.asarray(d, dtype=float)
             if d.shape != (k, k):
@@ -72,6 +78,8 @@ class ProductMetric:
             if np.abs(np.diag(d)).max() > 0 or not np.allclose(d, d.T):
                 raise DomainError(f"site {s}: distances must be symmetric "
                                   "with zero diagonal")
+            d = (d + d.T) / 2
+            stored.append(d)
             off = np.where(np.eye(k, dtype=bool), np.inf, d)
             if off.min() <= 0:
                 raise DomainError(f"site {s}: off-diagonal distances must be "
@@ -79,6 +87,7 @@ class ProductMetric:
             for a in range(k):      # d[a, c] + d[c, b] over c, per a
                 if np.any(d[a] > (d[a, :, None] + d).min(axis=0) + 1e-12):
                     raise DomainError(f"site {s}: triangle inequality violated")
+        object.__setattr__(self, "metrics", tuple(stored))
 
     @classmethod
     def discrete(cls, sizes) -> "ProductMetric":
@@ -179,7 +188,8 @@ def _star_norm_lps(sizes) -> int:
 def _one_per_sign(gens: np.ndarray) -> np.ndarray:
     """One generator of each pair ``g, -g``: the one whose first nonzero
     entry is positive.  Negating every dipole of a generator negates its
-    row exactly, so this keeps exactly half of :func:`polar_generators`."""
+    row exactly (the site metrics are stored exactly symmetric), so this
+    keeps exactly half of :func:`polar_generators`."""
     first = gens[np.arange(len(gens)), (gens != 0).argmax(axis=1)]
     return gens[first > 0]
 

@@ -174,9 +174,10 @@ def lp_solve(lp: LinearProgram, *, feas_tol: float = 1e-9,
              pivot_tol: float = 1e-9, max_iter: int = 50_000) -> LpResult:
     """Solve a dense linear program exactly (two-phase simplex, Bland's rule).
 
-    The one-objective case of :func:`lp_solve_many`.  Variables become shifted nonnegative parts (two when free, plus a
-    ``<=`` row when boxed); phase 1 drives out the artificial basis and
-    drops redundant rows, phase 2 minimizes.  Bland's rule cannot cycle;
+    The one-objective case of :func:`lp_solve_many`, which then keeps no
+    copy of the tableau.  Variables become shifted nonnegative parts (two
+    when free, plus a ``<=`` row when boxed); phase 1 drives out the
+    artificial basis and drops redundant rows, phase 2 minimizes.  Bland's rule cannot cycle;
     ``max_iter`` caps the pivots of each phase, and each pivot is one pass
     over the dense tableau.  Entries up to ``pivot_tol`` count as zero.
     Optimal points are feasible (relative to the row scale) and optimal to
@@ -207,7 +208,8 @@ def lp_solve_many(lp: LinearProgram, objectives, *, feas_tol: float = 1e-9,
     basis and lose accuracy on the way: one that meets a singular basis,
     fails the feasibility check, exceeds the pivot cap or ends unbounded
     is run again from the basis phase 1 left, exactly as :func:`lp_solve`
-    runs it, and that result stands.
+    runs it, and that result stands.  The data and the phase-1 tableau
+    are kept for that only when there is more than one objective.
     """
     n = lp.objective.size
     objectives = np.asarray(objectives, dtype=float)
@@ -322,9 +324,11 @@ def lp_solve_many(lp: LinearProgram, objectives, *, feas_tol: float = 1e-9,
         return LpResult("optimal", float(objective @ x), x)
 
     # phase 2, once per objective: the first from the basis phase 1 left,
-    # each later one from the basis the one before ended on
-    data = np.column_stack([body, rhs])[keep]
-    cold = tab.copy(), basis.copy()
+    # each later one from the basis the one before ended on.  Only a later
+    # one needs the program's data and the phase-1 tableau kept
+    if len(objectives) > 1:
+        data = np.column_stack([body[keep], rhs[keep]])
+        cold = tab.copy(), basis.copy()
     results = []
     for objective in objectives:
         if not results:

@@ -154,6 +154,21 @@ def test_one_generator_per_sign_pair(pm):
             == sorted(map(tuple, gens)))
 
 
+def test_nearly_symmetric_metric_keeps_exact_sign_pairs():
+    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+    d[1, 0] += 1e-7
+    pm = ProductMetric((3, 2), (d, 1.0 - np.eye(2)))
+    assert np.array_equal(pm.metrics[0], pm.metrics[0].T)
+    gens = polar_generators(pm)
+    kept = _one_per_sign(gens)
+    assert (sorted(map(tuple, np.vstack([kept, -kept])))
+            == sorted(map(tuple, gens)))
+    tp = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 6))
+    tp -= tp.mean(axis=1, keepdims=True)
+    for got, ref in zip(star_norm(tp, pm), reference_star_norm(tp, pm)):
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from([(3,), (2, 3), (3, 3)]).flatmap(
     lambda sizes: product_metrics(sizes=sizes)), st.data())
