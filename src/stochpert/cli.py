@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -410,7 +411,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and every call gets a fresh namespace."""
     parser = _Parser(prog="stochpert",
                      description="stochastic-operator perturbation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

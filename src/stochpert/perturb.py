@@ -87,7 +87,6 @@ class GaugePath:
     grid: np.ndarray
     psis: tuple[np.ndarray, ...]
     psi_invs: tuple[np.ndarray, ...]
-    generators: tuple[np.ndarray, ...]
     projections: tuple[Projection, ...]
 
 
@@ -98,36 +97,43 @@ def integrate_gauge(family, eps_target: float, n_steps: int = 64, *,
     steps on a uniform grid.
 
     The projection path and its tangents (and with them ``S``) are
-    evaluated on the half-step grid by continuation.  The conjugation
-    identity and the preservation of the constant function are verified at
-    every node.
+    evaluated on the half-step grid by continuation, and each RK4 step
+    runs as soon as the continuation reaches the end of it: only the
+    generators of the current step and the projections at the grid nodes
+    are kept.  The conjugation identity and the preservation of the
+    constant function are verified at every node.
     """
     t0 = family.t0
     p0 = Projection(t0, tols=tols)
     if eps_target == 0:
         eye = np.eye(p0.n)
-        return GaugePath(np.array([0.0]), (eye,), (eye,),
-                         (np.zeros_like(eye),), (p0,))
-
-    fine = continue_projection(p0, family, eps_target, 2 * n_steps, tols=tols)
-    s_nodes = [gauge_generator(proj, pp)
-               for proj, pp in zip(fine.projections, fine.tangents)]
+        return GaugePath(np.array([0.0]), (eye,), (eye,), (p0,))
 
     h = eps_target / n_steps
-    psi = np.eye(p0.n)
-    psis = [psi.copy()]
-    for k in range(n_steps):
-        s0, sh, s1 = s_nodes[2 * k], s_nodes[2 * k + 1], s_nodes[2 * k + 2]
-        k1 = s0 @ psi
-        k2 = sh @ (psi + 0.5 * h * k1)
-        k3 = sh @ (psi + 0.5 * h * k2)
-        k4 = s1 @ (psi + h * k3)
-        psi = psi + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        psis.append(psi.copy())
 
+    def transport(nodes):
+        psi = np.eye(p0.n)
+        psis, projs = [psi], []
+        for k, (_, proj, tangent, _) in enumerate(nodes):
+            s = gauge_generator(proj, tangent)
+            if k % 2:                   # the midpoint of a step
+                sh = s
+                continue
+            if k:
+                k1 = s0 @ psi
+                k2 = sh @ (psi + 0.5 * h * k1)
+                k3 = sh @ (psi + 0.5 * h * k2)
+                k4 = s @ (psi + h * k3)
+                psi = psi + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                psis.append(psi)
+            s0 = s
+            projs.append(proj)
+        return psis, projs
+
+    psis, coarse_projs = continue_projection(
+        p0, family, eps_target, 2 * n_steps, tols=tols, consume=transport)
     grid = np.linspace(0.0, eps_target, n_steps + 1)
     psi_invs = tuple(np.linalg.inv(m) for m in psis)
-    coarse_projs = tuple(fine.projections[2 * k] for k in range(n_steps + 1))
     ones = np.ones(p0.n)
     for k, (m, m_inv, proj) in enumerate(zip(psis, psi_invs, coarse_projs)):
         conj = np.abs(m @ p0.matrix @ m_inv - proj.matrix).max()
@@ -138,8 +144,7 @@ def integrate_gauge(family, eps_target: float, n_steps: int = 64, *,
         if np.abs(m @ ones - ones).max() > 1e-9:
             raise NumericalError(f"transport moved the constant function "
                                  f"at node {k}")
-    return GaugePath(grid, tuple(psis), psi_invs,
-                     tuple(s_nodes[::2]), coarse_projs)
+    return GaugePath(grid, tuple(psis), psi_invs, tuple(coarse_projs))
 
 
 def block_diagonal_part(op, p: Projection) -> np.ndarray:

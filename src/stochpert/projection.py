@@ -58,12 +58,23 @@ def retract(p) -> np.ndarray:
     return 3.0 * p2 - 2.0 * p2 @ p
 
 
+#: LAPACK pivoted Householder QR and the explicit Q of its reflectors
+_GEQP3, _ORGQR = scipy.linalg.get_lapack_funcs(("geqp3", "orgqr"),
+                                               dtype=np.float64)
+
+
 def _rank_basis(mat: np.ndarray, rank: int) -> np.ndarray:
-    """Orthonormal basis of the leading column space via pivoted QR."""
+    """Orthonormal basis of the leading column space via pivoted QR:
+    LAPACK ``geqp3``, then ``orgqr`` on its first ``rank`` reflectors."""
     if rank == 0:
         return np.zeros((mat.shape[0], 0))
-    q, _, _ = scipy.linalg.qr(mat, mode="economic", pivoting=True)
-    return q[:, :rank]
+    qr, _, tau, _, info = _GEQP3(mat)
+    if info != 0:
+        raise NumericalError(f"geqp3 failed with info {info}")
+    q, _, info = _ORGQR(qr[:, :rank], tau[:rank])
+    if info != 0:
+        raise NumericalError(f"orgqr failed with info {info}")
+    return q
 
 
 @dataclass(frozen=True)
@@ -249,18 +260,19 @@ def _newton_correct(p_mat, t, rank, tols, max_iter=50):
 
     Newton steps live in the tangent space (two small Sylvester solves per
     iteration) and the idempotent retraction handles the normal defect.
-    Returns the corrected matrix with its final residuals and the number of
-    iterations taken.
+    The residuals are tested before the iterate's image/kernel frame is
+    built, so a converged iterate costs no frame.  Returns the corrected
+    matrix with its final residuals and the number of iterations taken.
     """
     history = []
     for it in range(max_iter):
         phi_r = np.linalg.norm(phi(p_mat), "fro")
-        frame = _frame_of(p_mat, rank)
-        t_p, t12, t21, t_q = frame.blocks(t)
         comm_r = np.linalg.norm(p_mat @ t - t @ p_mat, "fro")
         history.append((phi_r, comm_r))
         if phi_r <= tols.solve and comm_r <= tols.solve:
             return p_mat, phi_r, comm_r, it
+        frame = _frame_of(p_mat, rank)
+        t_p, t12, t21, t_q = frame.blocks(t)
         u = solve_dense(t_p, t_q, t12)
         v = solve_dense(t_q, t_p, -t21)
         p_mat = p_mat + frame.from_offdiagonal(u, v)
@@ -270,53 +282,30 @@ def _newton_correct(p_mat, t, rank, tols, max_iter=50):
         f"residual history {history[-3:]}")
 
 
-def continue_projection(p0: Projection, family, eps_target: float,
-                        n_steps: int = 8, *,
-                        tols: Tolerances = DEFAULT_TOLS,
-                        accept_tol: float = 1e-11) -> ContinuationResult:
-    """Continue a projection along the operator family up to ``eps_target``.
-
-    Euler predictor along the tangent ``P'`` (:func:`derivative`, computed
-    once per accepted point), Newton corrector in tangent coordinates and
-    idempotent retraction.  A corrector :class:`NumericalError` halves the
-    step, down to ``eps_target / 2**10``; a :class:`DomainError` (a
-    collapsed spectral gap) and a rank jump abort the continuation.  The
-    result records, per uniform grid node, one :class:`PathPoint`, the
-    projection and its tangent; the separation of the blocks is left to
-    :func:`gap_report`.
-    """
-    if eps_target < 0:
-        raise DomainError("eps_target must be nonnegative")
-
-    def record(eps, proj, tangent):
-        t = family.at(eps)
-        path.append(PathPoint(
-            eps, float(np.linalg.norm(phi(proj.matrix), "fro")),
-            float(np.linalg.norm(proj.matrix @ t - t @ proj.matrix, "fro")),
-            proj.rank))
-        projections.append(proj)
-        tangents.append(tangent)
-
-    path, projections, tangents = [], [], []
-    tangent = derivative(p0, family.at(0.0), family.derivative(0.0),
-                         tols=tols)
-    record(0.0, p0, tangent)
+def _continuation_nodes(p0, family, eps_target, n_steps, tols, accept_tol):
+    """Yield ``(eps, projection, tangent, T)`` at each uniform grid node,
+    as the continuation reaches it; ``T`` is ``family.at(eps)``."""
+    t = family.at(0.0)
+    tangent = derivative(p0, t, family.derivative(0.0), tols=tols)
+    yield 0.0, p0, tangent, t
     if eps_target == 0 or n_steps < 1:
-        return ContinuationResult(p0, tuple(path), tuple(projections),
-                                  tuple(tangents))
+        return
 
     floor = eps_target / 2 ** 10
     grid = np.linspace(0.0, eps_target, n_steps + 1)
     current = p0
     eps = 0.0
     for target in grid[1:]:
-        while eps < target - 1e-15:
+        while eps < target:
             step = target - eps
             while True:
+                # a full step ends exactly on the grid node
+                end = target if step == target - eps else eps + step
+                t = family.at(end)
                 try:
                     corrected, phi_r, comm_r, _ = _newton_correct(
-                        current.matrix + step * tangent,
-                        family.at(eps + step), current.rank, tols)
+                        current.matrix + step * tangent, t, current.rank,
+                        tols)
                     break
                 except NumericalError:
                     step *= 0.5
@@ -328,17 +317,56 @@ def continue_projection(p0: Projection, family, eps_target: float,
             if proj.rank != p0.rank:
                 raise DomainError(
                     f"rank jumped from {p0.rank} to {proj.rank} at "
-                    f"eps={eps + step:.6g}: spectral gap lost")
+                    f"eps={end:.6g}: spectral gap lost")
             if max(phi_r, comm_r) > accept_tol:
                 raise NumericalError(
                     f"accepted-step residuals above {accept_tol:g}")
             current = proj
-            eps = target if step == target - eps else eps + step
-            tangent = derivative(current, family.at(eps),
-                                 family.derivative(eps), tols=tols)
-        record(target, current, tangent)
-    return ContinuationResult(current, tuple(path), tuple(projections),
-                              tuple(tangents))
+            eps = end
+            tangent = derivative(current, t, family.derivative(eps),
+                                 tols=tols)
+        yield target, current, tangent, t
+
+
+def continue_projection(p0: Projection, family, eps_target: float,
+                        n_steps: int = 8, *,
+                        tols: Tolerances = DEFAULT_TOLS,
+                        accept_tol: float = 1e-11, consume=None):
+    """Continue a projection along the operator family up to ``eps_target``.
+
+    Euler predictor along the tangent ``P'`` (:func:`derivative`, computed
+    once per accepted point), Newton corrector in tangent coordinates and
+    idempotent retraction.  Each attempted step ends exactly on its grid
+    node or on a halved step, and evaluates ``family.at`` there once: the
+    corrector, the tangent of an accepted point and the recorded residuals
+    share that operator.  A corrector :class:`NumericalError` halves the
+    step, down to ``eps_target / 2**10``; a :class:`DomainError` (a
+    collapsed spectral gap) and a rank jump abort the continuation.
+
+    The grid nodes come as a stream of ``(eps, projection, tangent, T)``
+    with ``T = family.at(eps)``.  By default the stream is collected into
+    a :class:`ContinuationResult`, recording per uniform grid node one
+    :class:`PathPoint`, the projection and its tangent; the separation of
+    the blocks is left to :func:`gap_report`.  With ``consume`` the stream
+    is handed to ``consume`` instead, which sees each node as soon as it
+    is reached, so nothing need be kept, and its return value is returned.
+    """
+    if eps_target < 0:
+        raise DomainError("eps_target must be nonnegative")
+    nodes = _continuation_nodes(p0, family, eps_target, n_steps, tols,
+                                accept_tol)
+    if consume is not None:
+        return consume(nodes)
+    path, projections, tangents = [], [], []
+    for eps, proj, tangent, t in nodes:
+        pm = proj.matrix
+        path.append(PathPoint(eps, float(np.linalg.norm(phi(pm), "fro")),
+                              float(np.linalg.norm(pm @ t - t @ pm, "fro")),
+                              proj.rank))
+        projections.append(proj)
+        tangents.append(tangent)
+    return ContinuationResult(projections[-1], tuple(path),
+                              tuple(projections), tuple(tangents))
 
 
 # ---------------------------------------------------------------------------

@@ -55,23 +55,24 @@ class SepReport:
     interval: tuple[float, float] | None = None
 
 
-#: LAPACK back-substitution for quasi-triangular Sylvester equations
-_TRSYL = scipy.linalg.get_lapack_funcs("trsyl", dtype=np.float64)
+#: LAPACK real Schur factorisation and back-substitution for
+#: quasi-triangular Sylvester equations
+_GEES, _TRSYL = scipy.linalg.get_lapack_funcs(("gees", "trsyl"),
+                                              dtype=np.float64)
 
 
-def _quasi_triangular_eigvals(t: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real Schur factor, read off its 1x1 and 2x2
-    diagonal blocks (a 2x2 block starts wherever the subdiagonal is
-    nonzero)."""
-    lam = np.diag(t).astype(complex)
-    k = np.flatnonzero(np.diag(t, -1))
-    if k.size:
-        mean = 0.5 * (t[k, k] + t[k + 1, k + 1])
-        root = np.sqrt((0.5 * (t[k, k] - t[k + 1, k + 1])) ** 2
-                       + t[k, k + 1] * t[k + 1, k] + 0j)
-        lam[k] = mean + root
-        lam[k + 1] = mean - root
-    return lam
+def _no_sort(wr, wi):
+    """Selection callback ``gees`` requires; unused with ``sort_t=0``."""
+
+
+def _schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real Schur form ``A = Z R Z^T`` straight from LAPACK ``gees``:
+    ``(R, Z, eigenvalues)``, the eigenvalues read from ``gees``'s real and
+    imaginary parts."""
+    r, _, wr, wi, z, _, info = _GEES(_no_sort, a)
+    if info != 0:
+        raise NumericalError(f"gees failed with info {info}")
+    return r, z, wr + 1j * wi
 
 
 def _require_disjoint(la: np.ndarray, lb: np.ndarray, tols: Tolerances):
@@ -101,12 +102,14 @@ def solve_dense(a, b, c, *, method: str = "schur",
     """Solve ``AX - XB = C`` for disjoint spectra.
 
     ``method="schur"`` (Bartels-Stewart) takes one real Schur form per
-    operand, ``A = Z_A R_A Z_A^T`` and ``B = Z_B R_B Z_B^T``, reads both
-    spectra off the quasi-triangular factors, back-substitutes
+    operand, ``A = Z_A R_A Z_A^T`` and ``B = Z_B R_B Z_B^T``, each from a
+    direct LAPACK ``gees`` call that also returns the spectrum (a nonzero
+    ``info`` raises :class:`NumericalError`), back-substitutes
     ``R_A Y - Y R_B = Z_A^T C Z_B`` with LAPACK ``trsyl`` and returns
     ``Z_A Y Z_B^T``: O(m^3 + n^3 + mn(m + n)) work.  ``method="kron"``
     solves the (mn)-by-(mn) vectorized system directly and is the
-    reference.  Non-finite entries in ``A``, ``B`` or ``C`` and spectra
+    reference.  An empty ``A`` or ``B`` gives the empty ``X``.
+    Non-finite entries in ``A``, ``B`` or ``C`` and spectra
     closer than ``tols.cluster`` raise :class:`DomainError`, the latter
     naming the shared eigenvalue; the relative residual is verified
     against ``1e-10 (||A|| + ||B||) ||X||`` and a failure raises
@@ -115,23 +118,24 @@ def solve_dense(a, b, c, *, method: str = "schur",
     a = as_square(a, "A")
     b = as_square(b, "B")
     c = _as_rhs(c, a, b)
+    if method not in ("schur", "kron"):
+        raise DomainError(f"unknown method {method!r}")
+    if c.size == 0:                     # an empty operand: X is empty
+        return np.zeros(c.shape)
 
     if method == "schur":
-        r_a, z_a = scipy.linalg.schur(a, check_finite=False)
-        r_b, z_b = scipy.linalg.schur(b, check_finite=False)
-        _require_disjoint(_quasi_triangular_eigvals(r_a),
-                          _quasi_triangular_eigvals(r_b), tols)
+        r_a, z_a, lam_a = _schur(a)
+        r_b, z_b, lam_b = _schur(b)
+        _require_disjoint(lam_a, lam_b, tols)
         # trsyl returns Y for the right-hand side scaled to avoid overflow
         y, y_scale, info = _TRSYL(r_a, r_b, z_a.T @ c @ z_b, isgn=-1)
         if info < 0:
             raise NumericalError(f"trsyl rejected argument {-info}")
         x = z_a @ (y / y_scale) @ z_b.T
-    elif method == "kron":
+    else:
         _require_disjoint(np.linalg.eigvals(a), np.linalg.eigvals(b), tols)
         k = sylvester_kron_matrix(a, b)
         x = np.linalg.solve(k, c.flatten(order="F")).reshape(c.shape, order="F")
-    else:
-        raise DomainError(f"unknown method {method!r}")
 
     resid = np.linalg.norm(a @ x - x @ b - c, "fro")
     scale = (np.linalg.norm(a, "fro") + np.linalg.norm(b, "fro"))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stochpert.cli import _cluster, main
+from stochpert.cli import DEFAULT_SEED, _build_parser, _cluster, main
 from stochpert.model import PcaModel, SiteGraph
 
 
@@ -328,6 +328,21 @@ class TestErrorsAndReproducibility:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: --")
         assert captured.out == ""
+
+    def test_one_parser_keeps_no_options_between_calls(self, capsys,
+                                                       model_config):
+        assert _build_parser() is _build_parser()
+        cfg = model_config(SINGLE)
+        code, rep = run_json(capsys, ["continue", "--eps", "0.05", "--steps",
+                                      "2", "--config", cfg])
+        assert code == 0 and rep["result"]["steps"] == 2
+        code, rep = run_json(capsys, ["continue", "--config", cfg])
+        assert code == 0
+        assert rep["meta"]["options"] == {"eps": None, "order": None,
+                                          "seed": DEFAULT_SEED, "steps": None}
+        assert rep["result"]["steps"] == 8
+        assert main(["continue", "--config", cfg, "--stpes", "2"]) == 3
+        assert "--stpes" in capsys.readouterr().err
 
     def test_reports_identical_modulo_duration(self, capsys, model_config,
                                                tmp_path):

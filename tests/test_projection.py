@@ -1,11 +1,17 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+import stochpert.projection as projection_module
 from stochpert.errors import DomainError, NumericalError
 from stochpert.model import PcaModel, PerturbationFamily, SiteGraph, \
     family_at_zero
 from stochpert.numerics import DEFAULT_TOLS, Disk
-from stochpert.projection import (Projection, _newton_correct,
+from stochpert.projection import (Projection, _newton_correct, _rank_basis,
                                   continue_projection, derivative, gap_report,
                                   phi, retract, spectral_projection,
                                   tangent_split)
@@ -36,6 +42,27 @@ class TestPhiAndRetract:
             r1 = np.linalg.norm(phi(retract(p)), "fro")
             assert r0 <= 0.1
             assert r1 <= 10.0 * r0 ** 2
+
+
+class TestRankBasis:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 8), data=st.data(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_spans_what_scipy_pivoted_qr_spans(self, n, data, seed):
+        # an oblique projection of every rank 0..n and its complement, the
+        # matrices the frames are built from
+        rank = data.draw(st.integers(0, n))
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+        p = w @ np.diag([1.0] * rank + [0.0] * (n - rank)) @ np.linalg.inv(w)
+        for mat, r in ((p, rank), (np.eye(n) - p, n - rank)):
+            basis = _rank_basis(mat, r)
+            ref = scipy.linalg.qr(mat, mode="economic", pivoting=True)[0]
+            assert basis.shape == (n, r)
+            assert np.abs(basis.T @ basis - np.eye(r)).max(initial=0.0) \
+                <= 1e-12
+            assert np.abs(basis @ basis.T - ref[:, :r] @ ref[:, :r].T).max() \
+                <= 1e-12
 
 
 class TestProjectionType:
@@ -234,6 +261,61 @@ class TestContinuation:
                                                   DEFAULT_TOLS)
         assert iters <= 6
         assert max(phi_r, comm_r) <= DEFAULT_TOLS.solve
+
+    def test_converged_input_builds_no_frame(self, monkeypatch):
+        fam = PcaModel(SiteGraph.path(2), 0.3, 0.0, (1.7, 1.0)).family()
+        p0 = Projection(fam.t0)
+        pred = p0.matrix + 0.05 * derivative(p0, fam.t0, fam.t0_prime)
+        frames = []
+
+        def counted(p, rank):
+            frames.append(rank)
+            return frame_of(p, rank)
+
+        frame_of = projection_module._frame_of
+        monkeypatch.setattr(projection_module, "_frame_of", counted)
+        _, _, _, iters = _newton_correct(p0.matrix, fam.t0, p0.rank,
+                                         DEFAULT_TOLS)
+        assert iters == 0 and frames == []
+        # otherwise one frame per Newton iteration, none for the final test
+        _, _, _, iters = _newton_correct(pred, fam.at(0.05), p0.rank,
+                                         DEFAULT_TOLS)
+        assert iters >= 1 and len(frames) == iters
+
+    def test_one_operator_per_attempted_node(self):
+        fam = PcaModel(SiteGraph.path(2), 0.3, 0.0).family()
+        calls = []
+
+        def at(eps):
+            calls.append(eps)
+            return fam.at(eps)
+
+        counted = dataclasses.replace(fam, at=at)
+        res = continue_projection(Projection(fam.t0), counted, 0.08, 4)
+        # no step was halved: one evaluation per grid node, on the node
+        assert calls == list(np.linspace(0.0, 0.08, 5))
+        assert len(res.path) == 5
+
+    def test_consume_sees_the_nodes_as_they_are_reached(self):
+        fam = PcaModel(SiteGraph.path(2), 0.3, 0.0).family()
+        calls = []
+
+        def at(eps):
+            calls.append(eps)
+            return fam.at(eps)
+
+        counted = dataclasses.replace(fam, at=at)
+        first_two = continue_projection(
+            Projection(fam.t0), counted, 0.08, 4,
+            consume=lambda nodes: list(itertools.islice(nodes, 2)))
+        assert len(calls) == 2
+        res = continue_projection(Projection(fam.t0), fam, 0.08, 4)
+        for (eps, proj, tangent, t), pt, proj_ref, tangent_ref in zip(
+                first_two, res.path, res.projections, res.tangents):
+            assert eps == pt.eps
+            assert np.array_equal(t, fam.at(eps))
+            assert np.array_equal(proj.matrix, proj_ref.matrix)
+            assert np.array_equal(tangent, tangent_ref)
 
     def test_zero_target(self):
         fam = constant_family(T0_1SITE)

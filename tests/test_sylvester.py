@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from stochpert.errors import DomainError, NumericalError
-from stochpert.sylvester import (_quasi_triangular_eigvals, sep_bound_ct,
+from stochpert.sylvester import (_schur, sep_bound_ct,
                                  sep_bound_discrete, sep_brute, solve_dense,
                                  solve_integral, solve_series)
 
@@ -87,6 +87,13 @@ class TestSolveDense:
         with pytest.raises(DomainError, match="C has non-finite"):
             solve_dense(np.diag([2.0, 3.0]), np.diag([0.5]), c, method=method)
 
+    @pytest.mark.parametrize("method", ["schur", "kron"])
+    @pytest.mark.parametrize("m,n", [(0, 2), (2, 0), (0, 0)])
+    def test_empty_operand_gives_empty_solution(self, method, m, n):
+        x = solve_dense(np.eye(m), -np.eye(n), np.zeros((m, n)),
+                        method=method)
+        assert x.shape == (m, n)
+
 
 def quasi_block_matrix(rng, size, centre, nonnormal):
     """Orthogonal similarity of a block upper-triangular matrix whose
@@ -126,10 +133,13 @@ class TestSchurAgainstKron:
     @settings(max_examples=60, deadline=None)
     @given(size=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
            nonnormal=st.sampled_from([0.0, 1.0, 3.0]))
-    def test_spectrum_read_off_the_schur_factor(self, size, seed, nonnormal):
+    def test_gees_spectrum_matches_eigvals(self, size, seed, nonnormal):
         a = quasi_block_matrix(np.random.default_rng(seed), size, 0.0,
                                nonnormal)
-        lam = _quasi_triangular_eigvals(scipy.linalg.schur(a)[0])
+        r, z, lam = _schur(a)
+        assert np.abs(np.tril(r, -2)).max(initial=0.0) == 0.0
+        assert np.abs(z @ r @ z.T - a).max() <= \
+            1e-12 * max(1.0, np.abs(a).max())
         ref = np.linalg.eigvals(a)
         dist = np.abs(lam[:, None] - ref[None, :])
         assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) < 1e-9
