@@ -260,6 +260,16 @@ class PcaModel:
     def n_configs(self) -> int:
         return 3 ** self.graph.n_sites
 
+    @property
+    def flip_symmetric(self) -> bool:
+        """Whether swapping ``+`` and ``-`` at every site leaves the rule
+        unchanged: the rates are count-driven, or the two fixed rates are
+        equal.  The swap maps configuration index ``i`` to ``3^N - 1 - i``,
+        so every operator of the model is then exactly centrosymmetric,
+        ``T[::-1, ::-1] == T`` entry for entry."""
+        return (self.beta_override is None
+                or self.beta_override[0] == self.beta_override[1])
+
     def operator(self, eps: float | None = None) -> np.ndarray:
         """Global synchronous transition operator at ``eps``."""
         e = self.epsilon if eps is None else eps

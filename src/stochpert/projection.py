@@ -246,13 +246,14 @@ class PathPoint:
 
 @dataclass(frozen=True)
 class ContinuationResult:
-    """Continued projection with one path point, projection and tangent
-    ``P'`` per uniform grid node."""
+    """Continued projection with one path point, projection, tangent ``P'``
+    and operator ``T = family.at(eps)`` per uniform grid node."""
 
     projection: Projection
     path: tuple[PathPoint, ...]
     projections: tuple[Projection, ...]
     tangents: tuple[np.ndarray, ...]
+    operators: tuple[np.ndarray, ...]
 
 
 def _newton_correct(p_mat, t, rank, tols, max_iter=50):
@@ -346,10 +347,11 @@ def continue_projection(p0: Projection, family, eps_target: float,
     The grid nodes come as a stream of ``(eps, projection, tangent, T)``
     with ``T = family.at(eps)``.  By default the stream is collected into
     a :class:`ContinuationResult`, recording per uniform grid node one
-    :class:`PathPoint`, the projection and its tangent; the separation of
-    the blocks is left to :func:`gap_report`.  With ``consume`` the stream
-    is handed to ``consume`` instead, which sees each node as soon as it
-    is reached, so nothing need be kept, and its return value is returned.
+    :class:`PathPoint`, the projection, its tangent and ``T``; the
+    separation of the blocks is left to :func:`gap_report`.  With
+    ``consume`` the stream is handed to ``consume`` instead, which sees
+    each node as soon as it is reached, so nothing need be kept, and its
+    return value is returned.
     """
     if eps_target < 0:
         raise DomainError("eps_target must be nonnegative")
@@ -357,7 +359,7 @@ def continue_projection(p0: Projection, family, eps_target: float,
                                 accept_tol)
     if consume is not None:
         return consume(nodes)
-    path, projections, tangents = [], [], []
+    path, projections, tangents, operators = [], [], [], []
     for eps, proj, tangent, t in nodes:
         pm = proj.matrix
         path.append(PathPoint(eps, float(np.linalg.norm(phi(pm), "fro")),
@@ -365,8 +367,10 @@ def continue_projection(p0: Projection, family, eps_target: float,
                               proj.rank))
         projections.append(proj)
         tangents.append(tangent)
+        operators.append(t)
     return ContinuationResult(projections[-1], tuple(path),
-                              tuple(projections), tuple(tangents))
+                              tuple(projections), tuple(tangents),
+                              tuple(operators))
 
 
 # ---------------------------------------------------------------------------

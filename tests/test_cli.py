@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stochpert.cli import DEFAULT_SEED, _build_parser, _cluster, main
+from stochpert import cli
+from stochpert.cli import (DEFAULT_SEED, _build_parser, _cluster, _json_leaf,
+                           main)
 from stochpert.model import PcaModel, SiteGraph
 
 
@@ -18,6 +21,48 @@ def model_config(tmp_path):
         path.write_text(json.dumps(doc))
         return str(path)
     return write
+
+
+def reference_jsonable(obj):
+    """The recursive walk ``main`` ran over every result before the report
+    was encoded; ``json.dumps(..., default=_json_leaf)`` must give the same
+    bytes."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, dict):
+        return {k: reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(v) for v in obj]
+    return obj
+
+
+def encoded(result, **kwargs):
+    return json.dumps(result, indent=2, sort_keys=True, **kwargs)
+
+
+@pytest.fixture(autouse=True)
+def results_encode_as_after_the_old_walk(monkeypatch):
+    """Every result a test gets from a command through ``main`` encodes
+    byte for byte as the old walk's output does."""
+    results = []
+    for name, (fn, needs_config) in list(cli._COMMANDS.items()):
+        def recorded(cfg, args, fn=fn):
+            result, table = fn(cfg, args)
+            results.append(result)
+            return result, table
+        monkeypatch.setitem(cli._COMMANDS, name, (recorded, needs_config))
+    yield
+    for result in results:
+        assert encoded(result, default=_json_leaf) == encoded(
+            reference_jsonable(result))
 
 
 def run_json(capsys, argv):
@@ -86,6 +131,55 @@ class TestSpectrum:
         assert len(centres) > 2
         assert rep["result"]["gap"] == min(
             abs(a - b) for i, a in enumerate(centres) for b in centres[i + 1:])
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 4), alpha=st.floats(0.0, 0.5),
+           frac=st.floats(0.0, 1.0), rate=st.none() | st.floats(0.5, 2.0))
+    def test_flip_symmetric_models_match_full_eigvals(self, n, alpha, frac,
+                                                      rate):
+        beta = None if rate is None else (rate, rate)
+        cap = 1.0 / (rate if rate else 1.0 + 2.0 * alpha)
+        mdl = PcaModel(SiteGraph.path(n), alpha, 0.99 * frac * cap, beta)
+        assert mdl.flip_symmetric
+        args = _build_parser().parse_args(["spectrum"])
+        cfg = {"graph": {"nodes": n, "edges": [list(e) for e in
+                                               mdl.graph.edges]},
+               "alpha": alpha, "epsilon": mdl.epsilon,
+               "beta_override": None if rate is None else {"plus": rate,
+                                                           "minus": rate}}
+        got = cli.cmd_spectrum(cfg, args)[0]["clusters"]
+        expected = _cluster(np.linalg.eigvals(mdl.operator()))
+        assert len(got) == len(expected)
+        for c in got:
+            # the partner with the same count and the nearest centre
+            z = complex(c["center_re"], c["center_im"])
+            dist, k = min((abs(z - complex(e["center_re"], e["center_im"])),
+                           k) for k, e in enumerate(expected)
+                          if e["count"] == c["count"])
+            assert dist <= 1e-12
+            expected.pop(k)
+
+    def test_unequal_rates_beyond_seven_sites_refused_up_front(
+            self, capsys, model_config):
+        doc = dict(path_config(8), beta_override={"plus": 1.5, "minus": 1.0})
+        start = time.perf_counter()
+        code = main(["spectrum", "--config", model_config(doc)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("domain error: spectrum runs up to 7 sites "
+                                "when the fixed rates differ, got 8\n")
+        assert captured.out == ""
+
+    def test_unequal_rates_take_the_full_eigvals(self, capsys, model_config):
+        doc = dict(PATH2, beta_override={"plus": 1.5, "minus": 1.0})
+        code, rep = run_json(capsys, ["spectrum", "--config",
+                                      model_config(doc)])
+        assert code == 0
+        eigs = np.linalg.eigvals(PcaModel(SiteGraph.path(2), 0.0, 0.1,
+                                          (1.5, 1.0)).operator())
+        assert rep["result"]["clusters"] == _cluster(eigs)
 
 
 class TestCluster:
@@ -265,6 +359,30 @@ class TestEffectiveAndContinue:
         assert len(rep["result"]["path"]) == 5
         assert (tmp_path / "cont.csv").exists()
 
+    def test_continue_evaluates_one_operator_per_node(self, capsys,
+                                                      model_config,
+                                                      monkeypatch):
+        calls = []
+        family = PcaModel.family
+
+        def counted_family(mdl):
+            fam = family(mdl)
+
+            def at(eps):
+                calls.append(eps)
+                return fam.at(eps)
+            return dataclasses.replace(fam, at=at)
+
+        monkeypatch.setattr(PcaModel, "family", counted_family)
+        code, rep = run_json(capsys, ["continue", "--config",
+                                      model_config(path_config(3)),
+                                      "--steps", "4"])
+        assert code == 0
+        # the reported gap and sep are taken on the operators the
+        # continuation evaluated, one per grid node
+        assert calls == list(np.linspace(0.0, 0.05, 5))
+        assert [pt["eps"] for pt in rep["result"]["path"]] == calls
+
     def test_continue_beyond_four_sites_refused_up_front(self, capsys,
                                                          model_config):
         start = time.perf_counter()
@@ -290,6 +408,34 @@ class TestEffectiveAndContinue:
         assert m.shape == (32, 32)
         assert np.abs(m.sum(axis=1) - 1.0).max() <= 1e-8
         assert m.min() >= -1e-12
+
+
+class TestReportEncoding:
+    def test_every_leaf_the_old_walk_converted(self):
+        result = {
+            "array": np.arange(3.0), "ints": np.arange(2),
+            "bool": np.bool_(True), "py_bool": False, "int": np.int64(7),
+            "float32": np.float32(0.1), "float64": np.float64(1 / 3),
+            "complex": 1 - 2j, "np_complex": np.complex128(0.5 + 1e-17j),
+            "nested": [(np.int32(1), {"x": np.float16(2.5)})],
+            "none": None, "inf": np.inf,
+        }
+        assert encoded(result, default=_json_leaf) == encoded(
+            reference_jsonable(result))
+
+    def test_unknown_leaf_is_still_an_error(self):
+        with pytest.raises(TypeError, match="object"):
+            encoded({"x": object()}, default=_json_leaf)
+
+    @pytest.mark.parametrize("doc", [
+        {"A": [[0.5, 0.1], [0.0, 0.3]], "B": [[1.5]], "method": "brute"},
+        {"A": [[0.5, 0.1], [0.0, 0.3]], "B": [[1.5]], "method": "series",
+         "lam": 1.5},
+        {"A": [[1.5]], "B": [[0.5, 0.1], [0.0, 0.3]], "method": "ct"},
+    ])
+    def test_sep_constants(self, capsys, model_config, doc):
+        # the results are compared with the old walk by the autouse fixture
+        assert main(["sep", "--config", model_config(doc, "sep.json")]) == 0
 
 
 class TestErrorsAndReproducibility:

@@ -142,3 +142,28 @@ def test_model_constructs_exactly_when_its_operator_does(model, ulps):
             model.family().at(eps)
         return
     assert at_eps.operator().shape == (model.n_configs,) * 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(models(), st.floats(0.0, 0.99), st.floats(0.1, 3.0))
+def test_flip_symmetric_models_are_exactly_centrosymmetric(model, u, rate):
+    # the draws with fixed rates get two equal ones instead; eps stays
+    # below the cap, which can round one ulp past the rates
+    if model.beta_override is not None:
+        model = PcaModel(model.graph, model.alpha, 0.0, (rate, rate))
+    assert model.flip_symmetric
+    t = model.family().at(u * eps_cap(model))
+    assert np.array_equal(t, t[::-1, ::-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(models(), st.floats(0.01, 0.99), st.floats(0.01, 1.0),
+       st.booleans())
+def test_unequal_fixed_rates_break_the_flip(model, u, gap, plus_first):
+    # rates at least 0.01 apart, so their products with eps stay distinct
+    low, high = 1.0, 1.0 + 2.0 * gap
+    beta = (high, low) if plus_first else (low, high)
+    model = PcaModel(model.graph, model.alpha, 0.0, beta)
+    assert not model.flip_symmetric
+    t = model.family().at(u * eps_cap(model))
+    assert not np.array_equal(t, t[::-1, ::-1])

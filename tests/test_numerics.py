@@ -6,8 +6,9 @@ import scipy.optimize
 from hypothesis import event, given, settings, strategies as st
 
 from stochpert.errors import DomainError
-from stochpert.numerics import (Disk, LinearProgram, eigen_split, expm,
-                                lp_solve, lp_solve_many, sylvester_kron_matrix)
+from stochpert.numerics import (Disk, LinearProgram, centrosymmetric_eigvals,
+                                eigen_split, expm, lp_solve, lp_solve_many,
+                                sylvester_kron_matrix)
 
 
 def lp(c, A, senses, b, bounds, maximize=True):
@@ -221,6 +222,59 @@ class TestEigenSplit:
         assert split.inside.shape[1] == 2
         block = np.linalg.lstsq(split.inside, a @ split.inside, rcond=None)[0]
         assert np.linalg.norm(a @ split.inside - split.inside @ block) < 1e-9
+
+
+def centrosymmetric(a, b, x, y, c):
+    """``[[A, x, B J], [y, c, y J], [J B, J x, J A J]]``, which ``J T J``
+    maps to itself."""
+    m = a.shape[0]
+    t = np.empty((2 * m + 1,) * 2)
+    t[:m, :m], t[:m, m], t[:m, m + 1:] = a, x, b[:, ::-1]
+    t[m, :m], t[m, m], t[m, m + 1:] = y, c, y[::-1]
+    t[m + 1:] = t[m - 1::-1, ::-1] if m else t[:0]
+    return t
+
+
+def matched_distance(got, expected):
+    """Largest distance in the best one-to-one matching of two multisets."""
+    cost = np.abs(got[:, None] - expected[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    return cost[rows, cols].max(initial=0.0)
+
+
+class TestCentrosymmetricEigvals:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(0, 20), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_same_spectrum_as_eigvals(self, m, seed, scale):
+        rng = np.random.default_rng(seed)
+        a, b = scale * rng.standard_normal((2, m, m))
+        x, y = scale * rng.standard_normal((2, m))
+        t = centrosymmetric(a, b, x, y, scale * rng.standard_normal())
+        assert np.array_equal(t, t[::-1, ::-1])
+        got = centrosymmetric_eigvals(t)
+        expected = np.linalg.eigvals(t)
+        assert got.shape == expected.shape == (2 * m + 1,)
+        assert matched_distance(got, expected) <= 1e-10 * np.linalg.norm(t)
+
+    def test_order_one(self):
+        got = centrosymmetric_eigvals(np.array([[0.25]]))
+        assert got.tolist() == [0.25]
+
+    def test_stochastic_matrix_keeps_eigenvalue_one_in_the_even_block(self):
+        # the even block [[0.75, 0.25], [0.5, 0.5]] is the chain lumped by
+        # {x, flip(x)}, itself stochastic; the odd block is A - B = 0.25
+        t = centrosymmetric(np.array([[0.5]]), np.array([[0.25]]),
+                            np.array([0.25]), np.array([0.25]), 0.5)
+        assert np.array_equal(t.sum(axis=1), np.ones(3))
+        got = centrosymmetric_eigvals(t)
+        assert sorted(got[:2].real) == pytest.approx([0.25, 1.0], abs=1e-15)
+        assert got[2] == pytest.approx(0.25, abs=1e-15)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 2), (4, 4), (3, 5), (3,)])
+    def test_even_or_non_square_order_rejected(self, shape):
+        with pytest.raises(DomainError, match="odd order"):
+            centrosymmetric_eigvals(np.zeros(shape))
 
 
 class TestExpm:
