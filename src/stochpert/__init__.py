@@ -4,8 +4,9 @@ product spaces.
 The package provides, in dependency order:
 
 ``numerics``
-    dense simplex linear programming, ordered-Schur invariant-subspace
-    splitting, matrix exponential, Kronecker form of the Sylvester map;
+    dense simplex linear programming, disk-shaped spectral regions,
+    centrosymmetric spectra, matrix exponential, Kronecker form of the
+    Sylvester map;
 ``model``
     3-state probabilistic cellular automata on finite graphs and their
     eps-parameterized operator families;
@@ -26,8 +27,7 @@ The package provides, in dependency order:
 
 from .errors import ConfigError, DomainError, NumericalError, StochpertError
 from .numerics import (DEFAULT_TOLS, Disk, LinearProgram, LpResult,
-                       Tolerances, eigen_split, expm, lp_solve,
-                       sylvester_kron_matrix)
+                       Tolerances, expm, lp_solve, sylvester_kron_matrix)
 from .model import (MINUS, PLUS, ZERO, PcaModel, PerturbationFamily,
                     SiteGraph, all_configs, apply_function, apply_measure,
                     assemble_operator, config_index, delta_measure,

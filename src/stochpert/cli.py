@@ -288,6 +288,7 @@ def cmd_dobrushin(cfg, args):
         zn = dobrushin.z_norm(mu, pm)
         return {"epsilon": eps, "z_norm_primal": zn.primal,
                 "z_norm_dual": zn.dual}, None
+    dobrushin.check_star_norm_size(pm.sizes)
     tp = mdl.family().derivative(eps)
     sn = dobrushin.star_norm(tp, pm)
     return {

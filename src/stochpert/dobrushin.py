@@ -38,6 +38,7 @@ __all__ = [
     "dobrushin_distance",
     "StarNorm",
     "star_norm",
+    "check_star_norm_size",
     "polar_generators",
     "generator_count",
     "DependencyReport",
@@ -185,6 +186,28 @@ def _star_norm_lps(sizes) -> int:
     return math.prod(sizes) + _generator_count(sizes) // 2
 
 
+def _refuse_above(norm: str, need, sizes, cap: int, what: str) -> None:
+    """Raise :class:`DomainError` in user terms when ``need(sizes)``
+    exceeds ``cap``: how many sites of the largest state count ``norm``
+    runs on, and what this product space would need."""
+    count = need(sizes)
+    if count > cap:
+        k = max(sizes)
+        fit = max((m for m in range(1, len(sizes)) if need((k,) * m) <= cap),
+                  default=0)
+        raise DomainError(
+            f"{norm} runs on at most {fit} sites of {k} states; this product "
+            f"space needs {count} {what}, above the limit of {cap}")
+
+
+def check_star_norm_size(sizes) -> None:
+    """Refuse a tangent norm (:func:`star_norm`) on per-site state counts
+    ``sizes`` that would need more than :data:`_STAR_NORM_LP_CAP` primal
+    LPs, before any operator or LP is built."""
+    _refuse_above("the tangent norm", _star_norm_lps, sizes,
+                  _STAR_NORM_LP_CAP, "linear programs")
+
+
 def _one_per_sign(gens: np.ndarray) -> np.ndarray:
     """One generator of each pair ``g, -g``: the one whose first nonzero
     entry is positive.  Negating every dipole of a generator negates its
@@ -301,11 +324,15 @@ def z_norm(mu, pm: ProductMetric, *, agree_tol: float = 1e-7) -> ZNorm:
     The primal maximizes ``mu(f)`` over the unit ball of the smooth
     seminorm; the dual expresses ``mu`` as the cheapest conic combination
     of polar generators.  Disagreement beyond ``agree_tol`` raises
-    :class:`NumericalError`.
+    :class:`NumericalError`.  A product space with more than
+    :data:`GENERATOR_CAP` polar generators (more than three 3-state
+    sites) is refused with :class:`DomainError` before either LP.
     """
     mu = _check_zero_charge(mu)
     if mu.shape != (pm.n_configs,):
         raise DomainError("measure length does not match the product space")
+    _refuse_above("the zero-charge norm", _generator_count, pm.sizes,
+                  GENERATOR_CAP, "polar generators")
     primal = _PrimalProgram(pm).value(mu)
 
     gens = polar_generators(pm)
@@ -365,8 +392,8 @@ def star_norm(tp, pm: ProductMetric, *, tangent_tol: float = 1e-10) -> StarNorm:
     one primal LP per configuration and per generator pair, all on one
     constraint skeleton (:meth:`_PrimalProgram.maximum`): 189 for two
     3-state sites.  Beyond two 3-state sites (more than
-    :data:`_STAR_NORM_LP_CAP` LPs) :class:`DomainError` is raised before
-    the first.
+    :data:`_STAR_NORM_LP_CAP` LPs, :func:`check_star_norm_size`)
+    :class:`DomainError` is raised before the first.
     """
     tp = np.asarray(tp, dtype=float)
     n = pm.n_configs
@@ -376,16 +403,7 @@ def star_norm(tp, pm: ProductMetric, *, tangent_tol: float = 1e-10) -> StarNorm:
     if defect > tangent_tol:
         raise DomainError(f"T' @ 1 = 0 violated by {defect:.3e}")
 
-    lps = _star_norm_lps(pm.sizes)
-    if lps > _STAR_NORM_LP_CAP:
-        k = max(pm.sizes)
-        fit = max((m for m in range(1, pm.n_sites)
-                   if _star_norm_lps((k,) * m) <= _STAR_NORM_LP_CAP),
-                  default=0)
-        raise DomainError(
-            f"the tangent norm runs on at most {fit} sites of {k} states; "
-            f"this product space needs {lps} linear programs, above the "
-            f"limit of {_STAR_NORM_LP_CAP}")
+    check_star_norm_size(pm.sizes)
     prog = _PrimalProgram(pm)
     simplex_image = prog.maximum(tp)
     z_operator = prog.maximum(_one_per_sign(polar_generators(pm)) @ tp)

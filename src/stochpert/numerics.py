@@ -1,11 +1,10 @@
 """Dense linear-algebra and linear-programming substrate.
 
 Everything here is domain-agnostic: a two-phase dense simplex solver with
-Bland's anti-cycling rule, invariant-subspace splitting via an ordered real
-Schur form, the eigenvalues of a centrosymmetric matrix from its two
-half-order blocks, a matrix exponential, and the Kronecker matrix of the
-Sylvester map ``X -> AX - XB``.  All operations are pure functions of their
-inputs.
+Bland's anti-cycling rule, disk-shaped spectral regions, the eigenvalues of
+a centrosymmetric matrix from its two half-order blocks, a matrix
+exponential, and the Kronecker matrix of the Sylvester map
+``X -> AX - XB``.  All operations are pure functions of their inputs.
 
 The simplex pivots its dense tableau with one rank-one numpy update.  It is
 kept instead of ``scipy.optimize.linprog``, whose import alone adds about
@@ -18,7 +17,7 @@ the one before, its tableau recomputed from the program's data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -33,8 +32,6 @@ __all__ = [
     "lp_solve",
     "lp_solve_many",
     "Disk",
-    "SubspaceSplit",
-    "eigen_split",
     "centrosymmetric_eigvals",
     "expm",
     "sylvester_kron_matrix",
@@ -357,12 +354,13 @@ def lp_solve_many(lp: LinearProgram, objectives, *, feas_tol: float = 1e-9,
 
 
 # ---------------------------------------------------------------------------
-# Spectral regions and invariant-subspace splitting
+# Spectral regions and centrosymmetric spectra
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Disk:
-    """Open disk ``|z - center| < radius`` in the complex plane."""
+    """Open disk ``|z - center| < radius`` in the complex plane; both
+    methods also act elementwise on arrays."""
 
     center: complex
     radius: float
@@ -372,96 +370,6 @@ class Disk:
 
     def boundary_distance(self, z: complex) -> float:
         return abs(abs(z - self.center) - self.radius)
-
-
-class _Predicate:
-    """Adapter for a bare callable region (no boundary information)."""
-
-    def __init__(self, fn: Callable[[complex], bool]):
-        self._fn = fn
-
-    def contains(self, z: complex) -> bool:
-        return bool(self._fn(z))
-
-
-def _as_region(region):
-    if hasattr(region, "contains"):
-        return region
-    if callable(region):
-        return _Predicate(region)
-    raise DomainError("region must be a Disk or a predicate on complex numbers")
-
-
-@dataclass(frozen=True)
-class SubspaceSplit:
-    """Orthonormal bases of complementary invariant subspaces.
-
-    ``inside`` spans the invariant subspace for eigenvalues in the region,
-    ``outside`` the complementary one.  ``cond`` is the condition number of
-    the combined basis ``[inside outside]``.
-    """
-
-    inside: np.ndarray
-    outside: np.ndarray
-    eigenvalues_inside: np.ndarray
-    eigenvalues_outside: np.ndarray
-    cond: float
-
-
-def eigen_split(a, region, *, tols: Tolerances = DEFAULT_TOLS) -> SubspaceSplit:
-    """Split R^n into the invariant subspace for eigenvalues inside ``region``
-    and its complement.
-
-    Implemented through an ordered real Schur form followed by one Sylvester
-    solve to block-diagonalize, so defective matrices are handled.  Raises
-    :class:`DomainError` when an eigenvalue sits within ``tols.cluster`` of
-    the region boundary (only checkable when the region exposes
-    ``boundary_distance``).
-    """
-    a = as_square(a, "A")
-    n = a.shape[0]
-    reg = _as_region(region)
-    eigs = np.linalg.eigvals(a)
-    if hasattr(reg, "boundary_distance"):
-        dist = np.array([reg.boundary_distance(z) for z in eigs])
-        k = int(np.argmin(dist))
-        if dist[k] < tols.cluster:
-            raise DomainError(
-                f"eigenvalue {eigs[k]:.12g} lies within {tols.cluster:g} "
-                "of the region boundary")
-
-    t, z, sdim = scipy.linalg.schur(
-        a, output="real",
-        sort=lambda re, im: bool(reg.contains(complex(re, im))))
-    n_inside = int(sum(reg.contains(lam) for lam in eigs))
-    if sdim != n_inside:
-        raise NumericalError(
-            f"Schur reordering selected {sdim} eigenvalues but the region "
-            f"contains {n_inside}; region may split a conjugate pair")
-
-    if sdim == 0:
-        v = np.zeros((n, 0))
-        w = z
-    elif sdim == n:
-        v = z
-        w = np.zeros((n, 0))
-    else:
-        s11 = t[:sdim, :sdim]
-        s12 = t[:sdim, sdim:]
-        s22 = t[sdim:, sdim:]
-        k = sylvester_kron_matrix(s11, s22)
-        x = np.linalg.solve(k, (-s12).flatten(order="F"))
-        x = x.reshape(s12.shape, order="F")
-        v = z[:, :sdim]
-        w_raw = z @ np.vstack([x, np.eye(n - sdim)])
-        w, _ = np.linalg.qr(w_raw)
-
-    lam_in = np.linalg.eigvals(t[:sdim, :sdim]) if sdim else np.zeros(0, complex)
-    lam_out = (np.linalg.eigvals(t[sdim:, sdim:])
-               if sdim < n else np.zeros(0, complex))
-    combined = np.hstack([v, w])
-    cond = float(np.linalg.cond(combined)) if combined.size else 1.0
-    return SubspaceSplit(v, w, lam_in, lam_out, cond)
 
 
 def centrosymmetric_eigvals(t) -> np.ndarray:

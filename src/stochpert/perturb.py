@@ -78,16 +78,11 @@ def commutator_identity_defect(t, tp, p: Projection, pp) -> float:
 
 @dataclass(frozen=True)
 class GaugePath:
-    """Transport along the family on a uniform grid.
+    """Transport to the end of a uniform grid: ``psi P0 psi_inv = P(eps)``
+    and ``psi @ 1 = 1`` at ``eps = eps_target``."""
 
-    At each grid node: ``psis[k] P0 psi_invs[k] = P(grid[k])`` and
-    ``psis[k] @ 1 = 1``.
-    """
-
-    grid: np.ndarray
-    psis: tuple[np.ndarray, ...]
-    psi_invs: tuple[np.ndarray, ...]
-    projections: tuple[Projection, ...]
+    psi: np.ndarray
+    psi_inv: np.ndarray
 
 
 def integrate_gauge(family, eps_target: float, n_steps: int = 64, *,
@@ -98,22 +93,25 @@ def integrate_gauge(family, eps_target: float, n_steps: int = 64, *,
 
     The projection path and its tangents (and with them ``S``) are
     evaluated on the half-step grid by continuation, and each RK4 step
-    runs as soon as the continuation reaches the end of it: only the
-    generators of the current step and the projections at the grid nodes
-    are kept.  The conjugation identity and the preservation of the
-    constant function are verified at every node.
+    runs as soon as the continuation reaches the end of it.  At each grid
+    node, as it is reached, the conjugation identity
+    ``psi P0 psi^-1 = P`` (to ``conjugation_tol``) and the preservation of
+    the constant function (to ``1e-9``) are verified; a failure raises
+    :class:`NumericalError` naming the node.  Only the generators of the
+    current step and the current ``psi`` are kept, and only the end point
+    is returned.
     """
     t0 = family.t0
     p0 = Projection(t0, tols=tols)
     if eps_target == 0:
         eye = np.eye(p0.n)
-        return GaugePath(np.array([0.0]), (eye,), (eye,), (p0,))
+        return GaugePath(eye, eye)
 
     h = eps_target / n_steps
+    ones = np.ones(p0.n)
 
     def transport(nodes):
         psi = np.eye(p0.n)
-        psis, projs = [psi], []
         for k, (_, proj, tangent, _) in enumerate(nodes):
             s = gauge_generator(proj, tangent)
             if k % 2:                   # the midpoint of a step
@@ -125,26 +123,20 @@ def integrate_gauge(family, eps_target: float, n_steps: int = 64, *,
                 k3 = sh @ (psi + 0.5 * h * k2)
                 k4 = s @ (psi + h * k3)
                 psi = psi + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                psis.append(psi)
             s0 = s
-            projs.append(proj)
-        return psis, projs
+            psi_inv = np.linalg.inv(psi)
+            conj = np.abs(psi @ p0.matrix @ psi_inv - proj.matrix).max()
+            if conj > conjugation_tol:
+                raise NumericalError(
+                    f"transport defect {conj:.3e} at node {k // 2} exceeds "
+                    f"{conjugation_tol:g}")
+            if np.abs(psi @ ones - ones).max() > 1e-9:
+                raise NumericalError(f"transport moved the constant function "
+                                     f"at node {k // 2}")
+        return GaugePath(psi, psi_inv)
 
-    psis, coarse_projs = continue_projection(
-        p0, family, eps_target, 2 * n_steps, tols=tols, consume=transport)
-    grid = np.linspace(0.0, eps_target, n_steps + 1)
-    psi_invs = tuple(np.linalg.inv(m) for m in psis)
-    ones = np.ones(p0.n)
-    for k, (m, m_inv, proj) in enumerate(zip(psis, psi_invs, coarse_projs)):
-        conj = np.abs(m @ p0.matrix @ m_inv - proj.matrix).max()
-        if conj > conjugation_tol:
-            raise NumericalError(
-                f"transport defect {conj:.3e} at node {k} exceeds "
-                f"{conjugation_tol:g}")
-        if np.abs(m @ ones - ones).max() > 1e-9:
-            raise NumericalError(f"transport moved the constant function "
-                                 f"at node {k}")
-    return GaugePath(grid, tuple(psis), psi_invs, tuple(coarse_projs))
+    return continue_projection(p0, family, eps_target, 2 * n_steps,
+                               tols=tols, consume=transport)
 
 
 def block_diagonal_part(op, p: Projection) -> np.ndarray:
@@ -255,7 +247,7 @@ def effective_operator(model: PcaModel, eps: float, order="2", *,
 
     if order == "exact":
         path = integrate_gauge(family, eps, n_steps, tols=tols)
-        op = path.psi_invs[-1] @ t_eps @ path.psis[-1]
+        op = path.psi_inv @ t_eps @ path.psi
     else:
         op = block_diagonal_part(t_eps, p0)
         if order == "2":

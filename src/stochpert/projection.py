@@ -22,8 +22,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DomainError, NumericalError
-from .numerics import DEFAULT_TOLS, Disk, Tolerances, as_square, eigen_split
-from .sylvester import sep_brute, solve_dense
+from .numerics import DEFAULT_TOLS, Disk, Tolerances, as_square
+from .sylvester import _TRSYL, _schur, sep_brute, solve_dense
 
 __all__ = [
     "phi",
@@ -167,16 +167,34 @@ class Projection:
 
 def spectral_projection(t, region=Disk(1.0, 0.5), *,
                         tols: Tolerances = DEFAULT_TOLS) -> Projection:
-    """Projection onto the invariant subspace for eigenvalues in ``region``,
-    along the complementary invariant subspace."""
+    """Projection onto the invariant subspace for eigenvalues in ``region``
+    (a :class:`~stochpert.numerics.Disk`), along the complementary one:
+    ``P = Z [[I, Y], [0, 0]] Z^T`` from the real Schur form ``T = Z R Z^T``
+    that ``gees`` orders with the ``k`` eigenvalues inside leading, and one
+    ``trsyl``, ``R11 Y - Y R22 = R12`` (Bartels & Stewart 1972).  Another
+    region, or an eigenvalue within ``tols.cluster`` of the boundary, raises
+    :class:`DomainError`; a nonzero ``info``, a split conjugate pair and
+    ``|[P, T]|`` above ``1e-9`` raise :class:`NumericalError`."""
     t = as_square(t, "T")
-    split = eigen_split(t, region, tols=tols)
-    n = t.shape[0]
-    r = split.inside.shape[1]
-    w = np.hstack([split.inside, split.outside])
-    d = np.zeros((n, n))
-    d[:r, :r] = np.eye(r)
-    p = w @ d @ np.linalg.inv(w)
+    if not isinstance(region, Disk):
+        raise DomainError(f"region must be a Disk, got {region!r}")
+    r, z, lam, k = _schur(t, lambda wr, wi: region.contains(complex(wr, wi)))
+    dist = region.boundary_distance(lam)
+    if dist.min() < tols.cluster:
+        raise DomainError(f"eigenvalue {lam[dist.argmin()]:.12g} lies within "
+                          f"{tols.cluster:g} of the region boundary")
+    n_inside = int(np.count_nonzero(region.contains(lam)))
+    if k != n_inside:
+        raise NumericalError(
+            f"Schur reordering selected {k} eigenvalues but the region "
+            f"contains {n_inside}; region may split a conjugate pair")
+    y = np.zeros((k, t.shape[0] - k))
+    if y.size:
+        y, scale, info = _TRSYL(r[:k, :k], r[k:, k:], r[:k, k:], isgn=-1)
+        if info != 0:
+            raise NumericalError(f"trsyl failed with info {info}")
+        y /= scale
+    p = z[:, :k] @ (z[:, :k].T + y @ z[:, k:].T)
     comm = np.linalg.norm(p @ t - t @ p, "fro")
     if comm > 1e-9 * max(1.0, np.linalg.norm(t, "fro")):
         raise NumericalError(f"projection does not commute: {comm:.3e}")

@@ -65,14 +65,25 @@ def _no_sort(wr, wi):
     """Selection callback ``gees`` requires; unused with ``sort_t=0``."""
 
 
-def _schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _schur(a: np.ndarray, select=None,
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Real Schur form ``A = Z R Z^T`` straight from LAPACK ``gees``:
-    ``(R, Z, eigenvalues)``, the eigenvalues read from ``gees``'s real and
-    imaginary parts."""
-    r, _, wr, wi, z, _, info = _GEES(_no_sort, a)
+    ``(R, Z, eigenvalues, sdim)``, the eigenvalues read from ``gees``'s real
+    and imaginary parts in the order of R's diagonal.
+
+    With a callback ``select(wr, wi) -> bool``, ``gees`` reorders the form
+    (``sort_t=1``) so that the ``sdim`` selected eigenvalues lead; a
+    conjugate pair is selected, and counted twice, when either member is.
+    Without one the form is unordered and ``sdim`` is 0.  A nonzero
+    ``info`` raises :class:`NumericalError`; ``n + 1`` and ``n + 2`` mean
+    that the reordering failed.
+    """
+    r, sdim, wr, wi, z, _, info = _GEES(select or _no_sort, a,
+                                        sort_t=select is not None)
     if info != 0:
-        raise NumericalError(f"gees failed with info {info}")
-    return r, z, wr + 1j * wi
+        reorder = " (reordering failed)" if info > a.shape[0] else ""
+        raise NumericalError(f"gees failed with info {info}{reorder}")
+    return r, z, wr + 1j * wi, sdim
 
 
 def _require_disjoint(la: np.ndarray, lb: np.ndarray, tols: Tolerances):
@@ -108,7 +119,9 @@ def solve_dense(a, b, c, *, method: str = "schur",
     ``R_A Y - Y R_B = Z_A^T C Z_B`` with LAPACK ``trsyl`` and returns
     ``Z_A Y Z_B^T``: O(m^3 + n^3 + mn(m + n)) work.  ``method="kron"``
     solves the (mn)-by-(mn) vectorized system directly and is the
-    reference.  An empty ``A`` or ``B`` gives the empty ``X``.
+    reference; above ``m n = KRON_CAP`` it raises :class:`DomainError`
+    before allocating that system.  An empty ``A`` or ``B`` gives the
+    empty ``X``.
     Non-finite entries in ``A``, ``B`` or ``C`` and spectra
     closer than ``tols.cluster`` raise :class:`DomainError`, the latter
     naming the shared eigenvalue; the relative residual is verified
@@ -124,8 +137,8 @@ def solve_dense(a, b, c, *, method: str = "schur",
         return np.zeros(c.shape)
 
     if method == "schur":
-        r_a, z_a, lam_a = _schur(a)
-        r_b, z_b, lam_b = _schur(b)
+        r_a, z_a, lam_a, _ = _schur(a)
+        r_b, z_b, lam_b, _ = _schur(b)
         _require_disjoint(lam_a, lam_b, tols)
         # trsyl returns Y for the right-hand side scaled to avoid overflow
         y, y_scale, info = _TRSYL(r_a, r_b, z_a.T @ c @ z_b, isgn=-1)
@@ -133,6 +146,11 @@ def solve_dense(a, b, c, *, method: str = "schur",
             raise NumericalError(f"trsyl rejected argument {-info}")
         x = z_a @ (y / y_scale) @ z_b.T
     else:
+        if c.size > KRON_CAP:
+            raise DomainError(
+                f"the Kronecker solver takes at most {KRON_CAP} unknowns "
+                f"(m*n), got {c.shape[0]}*{c.shape[1]} = {c.size}; "
+                f"method=\"schur\" has no such limit")
         _require_disjoint(np.linalg.eigvals(a), np.linalg.eigvals(b), tols)
         k = sylvester_kron_matrix(a, b)
         x = np.linalg.solve(k, c.flatten(order="F")).reshape(c.shape, order="F")

@@ -267,6 +267,16 @@ class TestSepAndSylvester:
         assert "C has non-finite entries" in captured.err
         assert captured.out == ""
 
+    def test_kronecker_solver_beyond_its_cap_refused(self, capsys,
+                                                     model_config):
+        a = np.diag(np.arange(1.0, 71.0))
+        cfg = model_config({"A": a.tolist(), "B": (-a).tolist(),
+                            "C": np.ones((70, 70)).tolist()}, "syl.json")
+        assert main(["sylvester", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert 'method="schur"' in captured.err
+        assert captured.out == ""
+
     def test_slow_series_is_numerical_failure(self, capsys, model_config):
         cfg = model_config({"A": [[0.9999]], "B": [[1.0001]], "C": [[1.0]],
                             "method": "series"}, "syl.json")
@@ -298,6 +308,51 @@ class TestDobrushinCommand:
         err = capsys.readouterr().err
         assert "83214 linear programs" in err
         assert "at most 2 sites of 3 states" in err
+
+    def test_tangent_norm_at_eight_sites_refused_before_the_operators(
+            self, capsys, model_config, monkeypatch):
+        def family(self):
+            raise AssertionError("operators built before the size check")
+        monkeypatch.setattr(PcaModel, "family", family)
+        start = time.perf_counter()
+        code = main(["dobrushin", "--config", model_config(path_config(8))])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "the tangent norm runs on at most 2 sites of 3 states" in \
+            capsys.readouterr().err
+
+    def test_point_masses_at_five_sites_refused_up_front(self, capsys,
+                                                         model_config):
+        doc = dict(path_config(5),
+                   measure={"point_masses": [[0] * 5, [2] * 5]})
+        start = time.perf_counter()
+        code = main(["dobrushin", "--config", model_config(doc)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "domain error: the zero-charge norm runs on at most 3 sites of 3 "
+            "states; this product space needs 27393328531206 polar "
+            "generators, above the limit of 1000000\n")
+
+    def test_point_masses_at_three_sites_pass_the_size_check(
+            self, model_config, monkeypatch):
+        # the whole run takes about 20 s, nearly all in the dual LP over
+        # 166,374 polar generators; the test stops at that LP
+        class Reached(Exception):
+            pass
+
+        real = cli.dobrushin.lp_solve
+
+        def lp_solve(lp, **kwargs):
+            if lp.lhs.shape[1] == 166_374:
+                raise Reached
+            return real(lp, **kwargs)
+
+        monkeypatch.setattr(cli.dobrushin, "lp_solve", lp_solve)
+        doc = dict(path_config(3),
+                   measure={"point_masses": [[0] * 3, [2] * 3]})
+        with pytest.raises(Reached):
+            main(["dobrushin", "--config", model_config(doc)])
 
 
     @pytest.mark.parametrize("pair, where", [

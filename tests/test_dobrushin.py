@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import stochpert.dobrushin as dobrushin_module
 from stochpert.dobrushin import (ProductMetric, dependency_matrix,
                                  dobrushin_distance, f_seminorm,
                                  generator_count, polar_generators,
@@ -79,6 +80,18 @@ class TestZNorm:
 
     def test_zero_measure(self):
         assert z_norm(np.zeros(9), PM2).value == pytest.approx(0.0, abs=1e-12)
+
+    def test_beyond_three_sites_refused_before_the_primal(self, monkeypatch):
+        def lp_solve(*args, **kwargs):
+            raise AssertionError("an LP ran before the size check")
+        monkeypatch.setattr(dobrushin_module, "lp_solve", lp_solve)
+        pm = ProductMetric.discrete((3,) * 4)
+        mu = np.zeros(pm.n_configs)
+        mu[[0, -1]] = 1.0, -1.0
+        with pytest.raises(DomainError, match="the zero-charge norm runs on "
+                           "at most 3 sites of 3 states; this product space "
+                           "needs 705911760 polar generators"):
+            z_norm(mu, pm)
 
     def test_nonzero_charge_rejected(self):
         with pytest.raises(DomainError, match="charge"):

@@ -6,9 +6,8 @@ import scipy.optimize
 from hypothesis import event, given, settings, strategies as st
 
 from stochpert.errors import DomainError
-from stochpert.numerics import (Disk, LinearProgram, centrosymmetric_eigvals,
-                                eigen_split, expm, lp_solve, lp_solve_many,
-                                sylvester_kron_matrix)
+from stochpert.numerics import (LinearProgram, centrosymmetric_eigvals, expm,
+                                lp_solve, lp_solve_many, sylvester_kron_matrix)
 
 
 def lp(c, A, senses, b, bounds, maximize=True):
@@ -169,59 +168,6 @@ class TestLpSolveMany:
         with pytest.raises(DomainError, match="finite"):
             lp_solve_many(prog, [[1.0, np.nan]])
         assert lp_solve_many(prog, np.empty((0, 2))) == []
-
-
-class TestEigenSplit:
-    def test_diagonal(self):
-        split = eigen_split(np.diag([1.0, 0.0]), Disk(1.0, 0.5))
-        assert split.inside.shape == (2, 1)
-        assert abs(abs(split.inside[0, 0]) - 1.0) < 1e-12
-        assert abs(abs(split.outside[1, 0]) - 1.0) < 1e-12
-
-    def test_idempotent(self):
-        p = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
-        split = eigen_split(p, Disk(1.0, 0.5))
-        assert split.inside.shape[1] == 2
-        # both returned bases are invariant under p
-        for basis in (split.inside, split.outside):
-            block = basis.T @ p @ basis
-            assert np.linalg.norm(p @ basis - basis @ block) <= 1e-9
-
-    def test_clustered_random(self):
-        rng = np.random.default_rng(7)
-        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-        a = q @ np.diag([1.0 + 1e-3, 1.0 - 1e-3, 1e-3, -1e-3]) @ q.T
-        split = eigen_split(a, Disk(1.0, 0.5))
-        assert split.inside.shape[1] == 2
-        scale = np.linalg.norm(a)
-        for basis in (split.inside, split.outside):
-            block = basis.T @ a @ basis
-            assert np.linalg.norm(a @ basis - basis @ block) <= 1e-9 * scale
-        assert split.cond < 1e6
-
-    def test_boundary_eigenvalue_rejected(self):
-        with pytest.raises(DomainError, match="boundary"):
-            eigen_split(np.diag([0.5, 0.0]), Disk(1.0, 0.5))
-
-    def test_whole_and_empty_regions(self):
-        a = np.diag([1.0, 2.0])
-        everything = eigen_split(a, Disk(1.5, 10.0))
-        assert everything.inside.shape == (2, 2)
-        assert everything.outside.shape == (2, 0)
-        nothing = eigen_split(a, Disk(50.0, 1.0))
-        assert nothing.inside.shape == (2, 0)
-
-    def test_predicate_region(self):
-        split = eigen_split(np.diag([2.0, -1.0]), lambda z: z.real > 0)
-        assert split.inside.shape[1] == 1
-
-    def test_defective_matrix(self):
-        # Jordan block at 1 plus an eigenvalue at 0
-        a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.2, 0.0]])
-        split = eigen_split(a, Disk(1.0, 0.5))
-        assert split.inside.shape[1] == 2
-        block = np.linalg.lstsq(split.inside, a @ split.inside, rcond=None)[0]
-        assert np.linalg.norm(a @ split.inside - split.inside @ block) < 1e-9
 
 
 def centrosymmetric(a, b, x, y, c):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from stochpert.errors import DomainError
+from stochpert import perturb
+from stochpert.errors import DomainError, NumericalError
 from stochpert.model import PcaModel, SiteGraph, family_at_zero
 from stochpert.perturb import (block_diagonal_part, commutator_identity_defect,
                                effective_operator, frozen_configs,
@@ -71,7 +72,8 @@ class TestIntegrateGauge:
     def test_zero_target_is_identity(self):
         fam = PcaModel(SiteGraph(1, ()), 0.0, 0.0).family()
         path = integrate_gauge(fam, 0.0)
-        assert np.allclose(path.psis[0], np.eye(3))
+        assert np.allclose(path.psi, np.eye(3))
+        assert np.allclose(path.psi_inv, np.eye(3))
 
     def test_conjugation_against_eigendecomposition(self):
         fam = PcaModel(SiteGraph(1, ()), 0.0, 0.0).family()
@@ -80,22 +82,46 @@ class TestIntegrateGauge:
         lam, v = np.linalg.eig(t)
         sel = np.abs(lam - 1.0) < 0.5
         exact = (v[:, sel] @ np.linalg.inv(v)[sel, :]).real
-        conj = path.psis[-1] @ fam.t0 @ path.psi_invs[-1]
+        conj = path.psi @ fam.t0 @ path.psi_inv
         assert np.abs(conj - exact).max() <= 1e-7
 
     def test_fourth_order_step_halving(self):
         fam = PcaModel(SiteGraph(1, ()), 0.0, 0.0,
                        beta_override=BETA12).family()
-        coarse = integrate_gauge(fam, 0.08, 32).psis[-1]
-        fine = integrate_gauge(fam, 0.08, 64).psis[-1]
+        coarse = integrate_gauge(fam, 0.08, 32).psi
+        fine = integrate_gauge(fam, 0.08, 64).psi
         assert np.abs(coarse - fine).max() <= 1e-8
 
     def test_preserves_constant_function(self):
         fam = PcaModel(SiteGraph.path(2), 0.3, 0.0).family()
         path = integrate_gauge(fam, 0.05, 16)
         ones = np.ones(9)
-        for psi in path.psis:
-            assert np.abs(psi @ ones - ones).max() <= 1e-9
+        assert np.abs(path.psi @ ones - ones).max() <= 1e-9
+        assert np.abs(path.psi @ path.psi_inv - np.eye(9)).max() <= 1e-12
+
+    @pytest.mark.parametrize("corruption, message", [
+        # a multiple of I commutes with every P, so psi still conjugates
+        # P0 onto P(eps) but scales the constant function
+        ("identity", "transport moved the constant function at node 2"),
+        ("rank_one", "transport defect .* at node 2 exceeds"),
+    ], ids=["identity", "rank_one"])
+    def test_corrupted_generator_fails_at_its_node(self, monkeypatch,
+                                                   corruption, message):
+        fam = PcaModel(SiteGraph.path(2), 0.3, 0.0).family()
+        calls = []
+
+        def corrupted(p, pp, **kwargs):
+            s = gauge_generator(p, pp, **kwargs)
+            calls.append(None)
+            if len(calls) != 5:         # grid node 2: generators alternate
+                return s                # between nodes and midpoints
+            if corruption == "identity":
+                return s + 1e-3 * np.eye(p.n)
+            return s + 1e-2 * np.outer(np.arange(p.n), np.ones(p.n))
+
+        monkeypatch.setattr(perturb, "gauge_generator", corrupted)
+        with pytest.raises(NumericalError, match=message):
+            integrate_gauge(fam, 0.05, 16)
 
 
 class TestFirstOrderBlock:
@@ -143,7 +169,7 @@ class TestFirstOrderBlock:
             if eps == 0.0:
                 return fam.t0
             path = integrate_gauge(fam, eps, 16)
-            return path.psi_invs[-1] @ fam.at(eps) @ path.psis[-1]
+            return path.psi_inv @ fam.at(eps) @ path.psi
 
         h = 5e-4
         fd = (4 * reduced(h) - 3 * reduced(0.0) - reduced(2 * h)) / (2 * h)

@@ -114,6 +114,85 @@ class TestSpectralProjection:
         with pytest.raises(DomainError, match="boundary"):
             spectral_projection(np.diag([0.5, 0.0]), Disk(1.0, 0.5))
 
+    def test_diagonal(self):
+        p = spectral_projection(np.diag([1.0, 0.0]), Disk(1.0, 0.5))
+        assert p.rank == 1
+        assert np.abs(p.matrix - np.diag([1.0, 0.0])).max() < 1e-15
+
+    def test_clustered_spectrum(self):
+        rng = np.random.default_rng(7)
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        a = q @ np.diag([1.0 + 1e-3, 1.0 - 1e-3, 1e-3, -1e-3]) @ q.T
+        p = spectral_projection(a, Disk(1.0, 0.5))
+        assert p.rank == 2
+        assert np.abs(p.matrix - q[:, :2] @ q[:, :2].T).max() < 1e-12
+        assert np.linalg.norm(p.matrix @ a - a @ p.matrix) < 1e-12
+
+    def test_defective_matrix(self):
+        # a Jordan block at 1 plus an eigenvalue at 0
+        a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.3, 0.2, 0.0]])
+        p = spectral_projection(a, Disk(1.0, 0.5))
+        assert p.rank == 2
+        assert np.abs(phi(p.matrix)).max() < 1e-12
+        assert np.abs(p.matrix @ a - a @ p.matrix).max() < 1e-12
+
+    def test_whole_and_empty_regions(self):
+        a = np.diag([1.0, 2.0])
+        everything = spectral_projection(a, Disk(1.5, 10.0))
+        assert everything.rank == 2
+        assert np.abs(everything.matrix - np.eye(2)).max() < 1e-15
+        nothing = spectral_projection(a, Disk(50.0, 1.0))
+        assert nothing.rank == 0
+        assert not nothing.matrix.any()
+
+    def test_split_conjugate_pair_rejected(self):
+        # the disk about i holds i but not -i; gees selects the pair
+        a = np.array([[0.5, -1.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, 0.1]])
+        with pytest.raises(NumericalError, match="split a conjugate pair"):
+            spectral_projection(a, Disk(0.5 + 1j, 0.5))
+
+    def test_non_disk_region_rejected(self):
+        with pytest.raises(DomainError, match="region must be a Disk"):
+            spectral_projection(np.diag([2.0, -1.0]), lambda z: z.real > 0)
+
+
+@st.composite
+def slow_split_operators(draw):
+    """T(eps) of a random model on at most 4 sites, count-driven or with
+    fixed rates, and the radius about 1 midway between the 2^N-th and the
+    next distance of its eigenvalues from 1 (the benchmark's placement).
+
+    eps is 0 or 1-30% of the largest admissible value.  Much closer to 0
+    the slow eigenvalues crowd within about eps of 1 and the
+    eigendecomposition oracle loses digits (its own |[P, T]| reaches 6e-8
+    at 7e-5 of the cap); from about 40% the 2^N-th and the next distance
+    can tie, and then no disk about 1 holds exactly the slow block."""
+    n = draw(st.integers(1, 4))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    alpha = draw(st.floats(0.0, 1.0))
+    beta = draw(st.none() | st.tuples(st.floats(0.1, 3.0),
+                                      st.floats(0.1, 3.0)))
+    graph = SiteGraph(n, tuple(edges))
+    cap = (1.0 / (1.0 + alpha * graph.max_degree) if beta is None
+           else 1.0 / max(beta))
+    eps = draw(st.just(0.0) | st.floats(0.01, 0.3)) * cap
+    t = PcaModel(graph, alpha, eps, beta).operator(eps)
+    dist = np.sort(np.abs(np.linalg.eigvals(t) - 1.0))
+    return n, t, 0.5 * (dist[2 ** n - 1] + dist[2 ** n])
+
+
+@settings(max_examples=60, deadline=None)
+@given(slow_split_operators())
+def test_spectral_projection_of_the_slow_block(case):
+    n, t, radius = case
+    p = spectral_projection(t, Disk(1.0, radius))
+    assert p.rank == 2 ** n
+    assert p.submanifold == "fixes_one"
+    assert np.abs(phi(p.matrix)).max() <= 1e-12
+    assert np.abs(p.matrix @ t - t @ p.matrix).max() <= 1e-12
+    assert np.abs(p.matrix - exact_projection(t, radius)).max() <= 1e-10
+
 
 class TestTangentSplit:
     def setup_method(self):

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import stochpert.sylvester as sylvester_module
 from stochpert.errors import DomainError, NumericalError
 from stochpert.sylvester import (_schur, sep_bound_ct,
                                  sep_bound_discrete, sep_brute, solve_dense,
@@ -58,6 +59,21 @@ class TestSolveDense:
         x1 = solve_dense(a, b, c, method="kron")
         x2 = solve_dense(a, b, c, method="schur")
         assert np.abs(x1 - x2).max() < 1e-10
+
+    def test_kron_refused_above_its_cap_before_allocating(self, monkeypatch):
+        def kron_matrix(a, b):
+            raise AssertionError("Kronecker matrix built above the cap")
+        monkeypatch.setattr(sylvester_module, "sylvester_kron_matrix",
+                            kron_matrix)
+        # 64 * 65 = 4160 unknowns, past KRON_CAP = 4096
+        a = np.diag(np.arange(1.0, 65.0))
+        b = -np.eye(65)
+        c = np.ones((64, 65))
+        with pytest.raises(DomainError, match='at most 4096 unknowns .*'
+                           'method="schur"'):
+            solve_dense(a, b, c, method="kron")
+        x = solve_dense(a, b, c)
+        assert np.abs(a @ x - x @ b - c).max() < 1e-12
 
     def test_shared_eigenvalue_named(self):
         with pytest.raises(DomainError, match="0.7"):
@@ -136,7 +152,7 @@ class TestSchurAgainstKron:
     def test_gees_spectrum_matches_eigvals(self, size, seed, nonnormal):
         a = quasi_block_matrix(np.random.default_rng(seed), size, 0.0,
                                nonnormal)
-        r, z, lam = _schur(a)
+        r, z, lam, _ = _schur(a)
         assert np.abs(np.tril(r, -2)).max(initial=0.0) == 0.0
         assert np.abs(z @ r @ z.T - a).max() <= \
             1e-12 * max(1.0, np.abs(a).max())
