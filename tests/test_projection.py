@@ -114,6 +114,22 @@ class TestSpectralProjection:
         with pytest.raises(DomainError, match="boundary"):
             spectral_projection(np.diag([0.5, 0.0]), Disk(1.0, 0.5))
 
+    def test_boundary_conjugate_pair_rejected(self):
+        # 1 +/- 0.5i lie on the circle of radius 0.5 about 1
+        a = np.array([[1.0, -0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(DomainError, match="boundary"):
+            spectral_projection(a, Disk(1.0, 0.5))
+
+    def test_idempotent_range_and_kernel_invariant(self):
+        # the transpose of the one-site T0: an idempotent with other
+        # invariant subspaces
+        p0 = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]]).T
+        p = spectral_projection(p0, Disk(1.0, 0.5))
+        assert p.rank == 2
+        assert np.abs(p.matrix @ p.matrix - p.matrix).max() < 1e-12
+        assert np.abs(p.matrix @ p0 - p0 @ p.matrix).max() < 1e-12
+        assert np.abs(p.matrix - p0).max() < 1e-12
+
     def test_diagonal(self):
         p = spectral_projection(np.diag([1.0, 0.0]), Disk(1.0, 0.5))
         assert p.rank == 1
