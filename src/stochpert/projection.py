@@ -277,14 +277,19 @@ class ContinuationResult:
 def _newton_correct(p_mat, t, rank, tols, max_iter=50):
     """Correct an approximate projection onto ``[P,T]=0`` at fixed rank.
 
-    Newton steps live in the tangent space (two small Sylvester solves per
-    iteration) and the idempotent retraction handles the normal defect.
-    The residuals are tested before the iterate's image/kernel frame is
-    built, so a converged iterate costs no frame.  Returns the corrected
-    matrix with its final residuals and the number of iterations taken.
+    Each iteration first retracts the iterate onto the projections
+    (``P <- 3P^2 - 2P^3``, which removes the normal defect), then tests the
+    residuals, then takes a Newton step in the tangent space of that
+    projection (two small Sylvester solves).  Retracting before the step
+    rather than after it keeps the step from being spent on the
+    predictor's own ``P^2 - P``.  The residuals are tested before the
+    iterate's image/kernel frame is built, so a converged iterate costs no
+    frame.  Returns the corrected (retracted) matrix with its final
+    residuals and the number of Newton steps taken.
     """
     history = []
     for it in range(max_iter):
+        p_mat = retract(p_mat)
         phi_r = np.linalg.norm(phi(p_mat), "fro")
         comm_r = np.linalg.norm(p_mat @ t - t @ p_mat, "fro")
         history.append((phi_r, comm_r))
@@ -295,10 +300,27 @@ def _newton_correct(p_mat, t, rank, tols, max_iter=50):
         u = solve_dense(t_p, t_q, t12)
         v = solve_dense(t_q, t_p, -t21)
         p_mat = p_mat + frame.from_offdiagonal(u, v)
-        p_mat = retract(p_mat)
     raise NumericalError(
         f"corrector did not reach {tols.solve:g} in {max_iter} iterations; "
         f"residual history {history[-3:]}")
+
+
+def _hermite(prev, last, step):
+    """Cubic Hermite extrapolation of ``P`` a ``step`` beyond ``last``: the
+    cubic through the accepted points ``prev`` and ``last``, each
+    ``(eps, P, P')``, matching both values and both tangents, taken at
+    ``tau = 1 + step / h`` in units of their spacing ``h`` (Allgower &
+    Georg, *Introduction to Numerical Continuation Methods*, ch. 6).  The
+    basis weights ``h01 = 1 - h00`` of the two values are folded into a
+    difference about ``P`` at ``last``."""
+    (e0, p0, d0), (e1, p1, d1) = prev, last
+    h = e1 - e0
+    tau = 1.0 + step / h
+    tau2 = tau * tau
+    h00 = (2.0 * tau - 3.0) * tau2 + 1.0
+    h10 = (tau - 2.0) * tau2 + tau
+    h11 = (tau - 1.0) * tau2
+    return p1 + h00 * (p0 - p1) + h * (h10 * d0 + h11 * d1)
 
 
 def _continuation_nodes(p0, family, eps_target, n_steps, tols, accept_tol):
@@ -314,6 +336,7 @@ def _continuation_nodes(p0, family, eps_target, n_steps, tols, accept_tol):
     grid = np.linspace(0.0, eps_target, n_steps + 1)
     current = p0
     eps = 0.0
+    prev = None         # (eps, P, P') of the accepted point before current
     for target in grid[1:]:
         while eps < target:
             step = target - eps
@@ -321,10 +344,14 @@ def _continuation_nodes(p0, family, eps_target, n_steps, tols, accept_tol):
                 # a full step ends exactly on the grid node
                 end = target if step == target - eps else eps + step
                 t = family.at(end)
+                if prev is None:
+                    guess = current.matrix + step * tangent
+                else:
+                    guess = _hermite(prev, (eps, current.matrix, tangent),
+                                     step)
                 try:
                     corrected, phi_r, comm_r, _ = _newton_correct(
-                        current.matrix + step * tangent, t, current.rank,
-                        tols)
+                        guess, t, current.rank, tols)
                     break
                 except NumericalError:
                     step *= 0.5
@@ -340,6 +367,7 @@ def _continuation_nodes(p0, family, eps_target, n_steps, tols, accept_tol):
             if max(phi_r, comm_r) > accept_tol:
                 raise NumericalError(
                     f"accepted-step residuals above {accept_tol:g}")
+            prev = (eps, current.matrix, tangent)
             current = proj
             eps = end
             tangent = derivative(current, t, family.derivative(eps),
@@ -353,12 +381,17 @@ def continue_projection(p0: Projection, family, eps_target: float,
                         accept_tol: float = 1e-11, consume=None):
     """Continue a projection along the operator family up to ``eps_target``.
 
-    Euler predictor along the tangent ``P'`` (:func:`derivative`, computed
-    once per accepted point), Newton corrector in tangent coordinates and
-    idempotent retraction.  Each attempted step ends exactly on its grid
-    node or on a halved step, and evaluates ``family.at`` there once: the
-    corrector, the tangent of an accepted point and the recorded residuals
-    share that operator.  A corrector :class:`NumericalError` halves the
+    The predictor of the first step is the Euler step along the tangent
+    ``P'`` at 0; every later one is the cubic Hermite extrapolation through
+    the last two accepted points and their tangents (:func:`derivative`,
+    computed once per accepted point), also after a halved step, where
+    the two spacings differ.  The corrector retracts onto the projections
+    and then takes Newton steps in tangent coordinates; from a Hermite
+    predictor one step usually reaches ``tols.solve``, from the Euler step
+    one or two.  Each attempted step ends exactly on its grid node or on a
+    halved step, and evaluates ``family.at`` there once: the corrector, the
+    tangent of an accepted point and the recorded residuals share that
+    operator.  A corrector :class:`NumericalError` halves the
     step, down to ``eps_target / 2**10``; a :class:`DomainError` (a
     collapsed spectral gap) and a rank jump abort the continuation.
 

@@ -454,6 +454,33 @@ class TestEffectiveAndContinue:
         assert rep["result"]["rank"] == 16
         assert all(pt["sep"] > 0 for pt in rep["result"]["path"])
 
+    @pytest.mark.parametrize("argv", [["--order", "exact"],
+                                      ["--eps", "0.01,0.05"]])
+    def test_exact_reduction_beyond_five_sites_refused_up_front(
+            self, capsys, model_config, monkeypatch, argv):
+        def family(self):
+            raise AssertionError("operators built before the size check")
+        monkeypatch.setattr(PcaModel, "family", family)
+        start = time.perf_counter()
+        code = main(["effective", "--config", model_config(path_config(6)),
+                     *argv])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "the exact reduction (--order exact, or a sweep of several " \
+            "eps) runs up to 5 sites" in capsys.readouterr().err
+
+    def test_exact_reduction_at_five_sites_runs(self, capsys, model_config):
+        # one gauge step to a small eps keeps it under a second on one
+        # core; eps = 0.05 with the CLI default of 64 steps takes about 13 s
+        code, rep = run_json(capsys, ["effective", "--config",
+                                      model_config(path_config(5)),
+                                      "--order", "exact", "--eps", "0.02",
+                                      "--steps", "1"])
+        assert code == 0
+        m = np.array(rep["result"]["matrix"])
+        assert m.shape == (32, 32)
+        assert np.abs(m.sum(axis=1) - 1.0).max() <= 1e-8
+
     def test_order_two_at_five_sites(self, capsys, model_config):
         code, rep = run_json(capsys, ["effective", "--config",
                                       model_config(path_config(5)),

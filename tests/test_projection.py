@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -173,17 +174,18 @@ class TestSpectralProjection:
 
 
 @st.composite
-def slow_split_operators(draw):
-    """T(eps) of a random model on at most 4 sites, count-driven or with
-    fixed rates, and the radius about 1 midway between the 2^N-th and the
-    next distance of its eigenvalues from 1 (the benchmark's placement).
+def slow_split_operators(draw, max_sites=4):
+    """A random model on at most ``max_sites`` sites, count-driven or with
+    fixed rates, its T(eps), and the radius about 1 midway between the
+    2^N-th and the next distance of its eigenvalues from 1 (the
+    benchmark's placement).
 
     eps is 0 or 1-30% of the largest admissible value.  Much closer to 0
     the slow eigenvalues crowd within about eps of 1 and the
     eigendecomposition oracle loses digits (its own |[P, T]| reaches 6e-8
     at 7e-5 of the cap); from about 40% the 2^N-th and the next distance
     can tie, and then no disk about 1 holds exactly the slow block."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_sites))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     alpha = draw(st.floats(0.0, 1.0))
@@ -193,15 +195,17 @@ def slow_split_operators(draw):
     cap = (1.0 / (1.0 + alpha * graph.max_degree) if beta is None
            else 1.0 / max(beta))
     eps = draw(st.just(0.0) | st.floats(0.01, 0.3)) * cap
-    t = PcaModel(graph, alpha, eps, beta).operator(eps)
+    mdl = PcaModel(graph, alpha, eps, beta)
+    t = mdl.operator(eps)
     dist = np.sort(np.abs(np.linalg.eigvals(t) - 1.0))
-    return n, t, 0.5 * (dist[2 ** n - 1] + dist[2 ** n])
+    return mdl, t, 0.5 * (dist[2 ** n - 1] + dist[2 ** n])
 
 
 @settings(max_examples=60, deadline=None)
 @given(slow_split_operators())
 def test_spectral_projection_of_the_slow_block(case):
-    n, t, radius = case
+    mdl, t, radius = case
+    n = mdl.n_sites
     p = spectral_projection(t, Disk(1.0, radius))
     assert p.rank == 2 ** n
     assert p.submanifold == "fixes_one"
@@ -304,6 +308,47 @@ class TestDerivative:
 def constant_family(t0):
     zero = np.zeros_like(t0)
     return PerturbationFamily(lambda e: t0, lambda e: zero, t0, zero)
+
+
+def recording_corrector(iters, fail=()):
+    """``_newton_correct`` that appends each call's Newton step count to
+    ``iters`` (``None`` for a call that raised); the calls numbered in
+    ``fail`` (from 0) raise :class:`NumericalError` without running."""
+    correct = projection_module._newton_correct
+
+    def corrector(*args, **kwargs):
+        if len(iters) in fail:
+            iters.append(None)
+            raise NumericalError("forced corrector failure")
+        try:
+            out = correct(*args, **kwargs)
+        except NumericalError:
+            iters.append(None)
+            raise
+        iters.append(out[3])
+        return out
+    return corrector
+
+
+class TestHermitePredictor:
+    @pytest.mark.parametrize("h,step", [(0.1, 0.1), (0.05, 0.1),
+                                        (0.1, 0.05)])
+    def test_exact_on_cubics(self, h, step):
+        # matrix-valued cubic; equal spacing, and both unequal ones
+        rng = np.random.default_rng(7)
+        c = rng.standard_normal((4, 3, 3))
+
+        def p(e):
+            return c[0] + e * (c[1] + e * (c[2] + e * c[3]))
+
+        def dp(e):
+            return c[1] + e * (2.0 * c[2] + 3.0 * e * c[3])
+
+        e0 = 0.2
+        e1 = e0 + h
+        guess = projection_module._hermite((e0, p(e0), dp(e0)),
+                                           (e1, p(e1), dp(e1)), step)
+        assert np.abs(guess - p(e1 + step)).max() <= 1e-13
 
 
 class TestContinuation:
@@ -432,6 +477,54 @@ class TestContinuation:
             assert np.array_equal(tangent, derivative(
                 proj, fam.at(grid[k]), fam.derivative(grid[k])))
 
+    def test_one_newton_step_per_node_after_the_first(self, monkeypatch):
+        # the first node is predicted by an Euler step, the later ones by
+        # cubic Hermite extrapolation; each predictor is retracted onto the
+        # projections before the first Newton step
+        iters = []
+        monkeypatch.setattr(projection_module, "_newton_correct",
+                            recording_corrector(iters))
+        fam = PcaModel(SiteGraph.path(2), 0.3, 0.0, (1.7, 1.0)).family()
+        continue_projection(Projection(fam.t0), fam, 0.2, 32)
+        assert len(iters) == 32
+        assert iters[0] <= 2
+        assert iters[1:] == [1] * 31
+
+    def test_halved_step_extrapolates_with_unequal_spacing(self,
+                                                           monkeypatch):
+        fam = PcaModel(SiteGraph.path(2), 0.3, 0.0, (1.7, 1.0)).family()
+        ref = continue_projection(Projection(fam.t0), fam, 0.08, 8)
+        calls, spacings, iters = [], [], []
+
+        def at(eps):
+            calls.append(eps)
+            return fam.at(eps)
+
+        def hermite(prev, last, step):
+            spacings.append((last[0] - prev[0], step))
+            return extrapolate(prev, last, step)
+
+        extrapolate = projection_module._hermite
+        monkeypatch.setattr(projection_module, "_hermite", hermite)
+        # the first attempt at the fourth node fails
+        monkeypatch.setattr(projection_module, "_newton_correct",
+                            recording_corrector(iters, fail={3}))
+        res = continue_projection(Projection(fam.t0),
+                                  dataclasses.replace(fam, at=at), 0.08, 8)
+        grid = np.linspace(0.0, 0.08, 9)
+        half = grid[3] + 0.5 * (grid[4] - grid[3])
+        assert calls == [*grid[:5], half, *grid[4:]]
+        assert iters[3] is None and None not in iters[4:]
+        # the failed attempt, the half step, then spacing h/2 with the
+        # steps h/2 and h
+        h = grid[1]
+        assert np.allclose(spacings[2:6], [(h, h), (h, h / 2),
+                                           (h / 2, h / 2), (h / 2, h)],
+                           rtol=1e-12, atol=0.0)
+        assert [pt.eps for pt in res.path] == list(grid)
+        assert np.abs(res.projection.matrix
+                      - ref.projection.matrix).max() <= 1e-11
+
     def test_collapsed_gap_raises_domain_error_at_once(self):
         # the gap of 1e-10 is below tols.cluster from the start: a domain
         # error, not a step-halving retry ending in "stalled"
@@ -440,6 +533,25 @@ class TestContinuation:
                                  np.zeros((2, 2)))
         with pytest.raises(DomainError, match="gap"):
             continue_projection(Projection(np.diag([1.0, 0.0])), fam, 0.1, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(slow_split_operators(max_sites=3), st.integers(1, 8))
+def test_continuation_reaches_the_slow_block(case, n_steps):
+    mdl, t, radius = case
+    fam = mdl.family()
+    iters = []
+    with mock.patch.object(projection_module, "_newton_correct",
+                           recording_corrector(iters)):
+        res = continue_projection(Projection(fam.t0), fam, mdl.epsilon,
+                                  n_steps)
+    exact = spectral_projection(t, Disk(1.0, radius))
+    assert np.abs(res.projection.matrix - exact.matrix).max() <= 1e-10
+    assert None not in iters
+    # the Hermite-predicted nodes take at most 3 Newton steps; the Euler
+    # step from 0 takes 4 when one step spans about a fifth of the rate cap
+    assert max(iters[1:], default=0) <= 3
+    assert max(iters, default=0) <= 4
 
 
 class TestGapReport:
