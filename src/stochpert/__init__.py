@@ -20,7 +20,8 @@ The package provides, in dependency order:
     spectral projections, their tangent derivative, and predictor-corrector
     continuation;
 ``perturb``
-    gauge transport and first/second-order effective reduced dynamics;
+    transport of the image frame along the projection and the exact and
+    first/second-order effective reduced dynamics;
 ``cli``
     the ``stochpert`` command with JSON/CSV reports.
 """
@@ -43,9 +44,8 @@ from .projection import (BlockFrame, ContinuationResult, GapReport,
                          PathPoint, Projection, continue_projection,
                          derivative, gap_report, phi, retract,
                          spectral_projection, tangent_split)
-from .perturb import (GaugePath, ReducedOperator, block_diagonal_part,
-                      commutator_identity_defect, effective_operator,
-                      gauge_generator, integrate_gauge, reduced_basis,
-                      reduced_first_order, second_order_term, two_state_row)
+from .perturb import (ReducedOperator, block_diagonal_part,
+                      effective_operator, reduced_basis, second_order_term,
+                      transport_image, two_state_row)
 
 __version__ = "0.1.0"

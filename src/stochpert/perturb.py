@@ -1,21 +1,30 @@
 """Second-order reduced dynamics of a stochastic operator family.
 
-Along a continued spectral projection ``P(eps)`` one can pick an invertible
-transport ``psi(eps)`` with ``P(eps) = psi P(0) psi^-1``; fixing its
-logarithmic derivative to ``S = P'(P - Q)`` (which satisfies
-``[S, P] = P'``) makes the transport, and hence the reduced operator
+Along a continued spectral projection ``P(eps)`` the transformation function
+``psi(eps)`` (Kato, *Perturbation Theory for Linear Operators*, II.4.2),
+``psi' = S psi`` with ``S = P'(P - Q)``, conjugates ``P(0)`` onto ``P(eps)``
+and makes the reduced operator
 
-    That = psi^-1 T psi   restricted to the image of P(0),
+    That = psi^-1 T psi   restricted to the image of P(0)
 
-well-defined.  Taylor expansion of That at 0 gives the closed second-order
-form
+well-defined.  Only its action on that image is ever read, so only the
+image frame is transported: for a basis ``B`` of the image of ``P(0)`` and
+a left inverse ``Y0`` with ``Y0 P(0) = Y0``, the frame ``X = psi B``,
+``Y = Y0 psi^-1`` keeps ``P X = X`` and ``Y P = Y``, so that
+
+    X' = P' X,    Y' = Y P',
+
+and the exact reduced matrix is ``Y T X``.  Taylor expansion of That at 0
+gives the closed second-order form
 
     P0 T_eps P0 + Q0 T_eps Q0 + eps^2/2 [[T0, P0'], P0'],
 
-whose restriction is computed by :func:`effective_operator` alongside the
+which :func:`effective_operator` reduces in the same way, alongside the
 exact transported reduction.  For the 3-state models the image of ``P(0)``
-carries a natural near-delta basis indexed by the frozen +/- patterns, in
-which all reductions are row-stochastic.
+carries a natural near-delta basis ``B`` indexed by the frozen +/-
+configurations: its rows there are the identity and those rows of ``P(0)``
+are unit rows, so ``Y0`` selects the frozen rows and every order reads
+``Y op X`` through them.  All reductions are row-stochastic in that basis.
 """
 
 from __future__ import annotations
@@ -31,11 +40,7 @@ from .projection import Projection, continue_projection, derivative
 from .model import MINUS, PLUS, PcaModel, config_index
 
 __all__ = [
-    "gauge_generator",
-    "commutator_identity_defect",
-    "GaugePath",
-    "integrate_gauge",
-    "reduced_first_order",
+    "transport_image",
     "block_diagonal_part",
     "second_order_term",
     "ReducedOperator",
@@ -45,95 +50,60 @@ __all__ = [
 ]
 
 
-def gauge_generator(p: Projection, pp, *, tangent_tol: float = 1e-8,
-                    ) -> np.ndarray:
-    """Transport generator ``S = P'(P - Q)`` for a tangent direction ``P'``.
+def _rk4(v, g0, gh, g1, h):
+    """One classical fourth-order step of ``v' = g v`` over ``h``, with the
+    generator ``g`` given at the start, midpoint and end of the step."""
+    k1 = g0 @ v
+    k2 = gh @ (v + 0.5 * h * k1)
+    k3 = gh @ (v + 0.5 * h * k2)
+    k4 = g1 @ (v + h * k3)
+    return v + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    Satisfies ``[S, P] = P'`` and sends the constant function to zero
-    whenever ``P'`` does.
+
+def transport_image(p0: Projection, x0, y0, family, eps_target: float,
+                    n_steps: int = 64, *, tols: Tolerances = DEFAULT_TOLS,
+                    conjugation_tol: float = 1e-8):
+    """Transport the image frame of ``p0`` along the continued projection:
+    integrate ``X' = P' X`` and ``Y' = Y P'`` from ``(x0, y0)`` to
+    ``eps_target`` with classical fourth-order steps on a uniform grid of
+    ``n_steps``, and return ``(X, Y, T)`` there, ``T = family.at(eps)``.
+
+    ``x0`` spans the image of ``p0`` with ``x0 @ 1 = 1``, and ``y0`` is a
+    left inverse with ``y0 @ p0 = y0``.  The projections and tangents come
+    from :func:`continue_projection` on the half-step grid, and each step
+    runs as soon as the continuation reaches its end.  At each grid node,
+    as it is reached, the largest of ``|PX - X|``, ``|YP - Y|`` and
+    ``|YX - I|`` is checked against ``conjugation_tol`` and ``X @ 1 = 1``
+    against ``1e-9``; a failure raises :class:`NumericalError` naming the
+    node and the step count.  Only the current frame is kept.
     """
-    pp = as_square(pp, "P'")
-    pm = p.matrix
-    tangency = np.linalg.norm(pm @ pp + pp @ pm - pp, "fro")
-    if tangency > tangent_tol * max(1.0, np.linalg.norm(pp, "fro")):
-        raise DomainError(f"P' is not tangent at P: defect {tangency:.3e}")
-    s = pp @ (2.0 * pm - np.eye(p.n))
-    check = np.linalg.norm((s @ pm - pm @ s) - pp, "fro")
-    if check > 1e-10 * max(1.0, np.linalg.norm(pp, "fro")):
-        raise NumericalError(f"[S,P] = P' violated by {check:.3e}")
-    return s
-
-
-def commutator_identity_defect(t, tp, p: Projection, pp) -> float:
-    """Residual of the linearized invariance equation,
-    ``|| [T, P'] - [P, T'] ||_F``; vanishes for the exact tangent ``P'``."""
-    t = as_square(t, "T")
-    tp = as_square(tp, "T'")
-    pp = as_square(pp, "P'")
-    pm = p.matrix
-    lhs = t @ pp - pp @ t
-    rhs = pm @ tp - tp @ pm
-    return float(np.linalg.norm(lhs - rhs, "fro"))
-
-
-@dataclass(frozen=True)
-class GaugePath:
-    """Transport to the end of a uniform grid: ``psi P0 psi_inv = P(eps)``
-    and ``psi @ 1 = 1`` at ``eps = eps_target``."""
-
-    psi: np.ndarray
-    psi_inv: np.ndarray
-
-
-def integrate_gauge(family, eps_target: float, n_steps: int = 64, *,
-                    tols: Tolerances = DEFAULT_TOLS,
-                    conjugation_tol: float = 1e-8) -> GaugePath:
-    """Integrate ``d psi / d eps = S(eps) psi`` with classical fourth-order
-    steps on a uniform grid.
-
-    The projection path and its tangents (and with them ``S``) are
-    evaluated on the half-step grid by continuation, and each RK4 step
-    runs as soon as the continuation reaches the end of it.  At each grid
-    node, as it is reached, the conjugation identity
-    ``psi P0 psi^-1 = P`` (to ``conjugation_tol``) and the preservation of
-    the constant function (to ``1e-9``) are verified; a failure raises
-    :class:`NumericalError` naming the node.  Only the generators of the
-    current step and the current ``psi`` are kept, and only the end point
-    is returned.
-    """
-    t0 = family.t0
-    p0 = Projection(t0, tols=tols)
-    if eps_target == 0:
-        eye = np.eye(p0.n)
-        return GaugePath(eye, eye)
-
     h = eps_target / n_steps
-    ones = np.ones(p0.n)
+    eye = np.eye(x0.shape[1])
 
     def transport(nodes):
-        psi = np.eye(p0.n)
-        for k, (_, proj, tangent, _) in enumerate(nodes):
-            s = gauge_generator(proj, tangent)
+        x, y = x0, y0
+        for k, (_, proj, tangent, t) in enumerate(nodes):
             if k % 2:                   # the midpoint of a step
-                sh = s
+                mid = tangent
                 continue
             if k:
-                k1 = s0 @ psi
-                k2 = sh @ (psi + 0.5 * h * k1)
-                k3 = sh @ (psi + 0.5 * h * k2)
-                k4 = s @ (psi + h * k3)
-                psi = psi + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            s0 = s
-            psi_inv = np.linalg.inv(psi)
-            conj = np.abs(psi @ p0.matrix @ psi_inv - proj.matrix).max()
-            if conj > conjugation_tol:
+                x = _rk4(x, start, mid, tangent, h)
+                y = _rk4(y.T, start.T, mid.T, tangent.T, h).T
+            start = tangent
+            pm = proj.matrix
+            where = f"at node {k // 2} of {n_steps}"
+            defects = {"|PX - X|": np.abs(pm @ x - x).max(),
+                       "|YP - Y|": np.abs(y @ pm - y).max(),
+                       "|YX - I|": np.abs(y @ x - eye).max()}
+            name = max(defects, key=defects.get)
+            if defects[name] > conjugation_tol:
                 raise NumericalError(
-                    f"transport defect {conj:.3e} at node {k // 2} exceeds "
-                    f"{conjugation_tol:g}")
-            if np.abs(psi @ ones - ones).max() > 1e-9:
+                    f"transport defect {defects[name]:.3e} ({name}) {where} "
+                    f"exceeds {conjugation_tol:g}; more steps reduce it")
+            if np.abs(x.sum(axis=1) - 1.0).max() > 1e-9:
                 raise NumericalError(f"transport moved the constant function "
-                                     f"at node {k // 2}")
-        return GaugePath(psi, psi_inv)
+                                     f"{where}")
+        return x, y, t
 
     return continue_projection(p0, family, eps_target, 2 * n_steps,
                                tols=tols, consume=transport)
@@ -146,11 +116,6 @@ def block_diagonal_part(op, p: Projection) -> np.ndarray:
     pm = p.matrix
     q = p.complement
     return pm @ op @ pm + q @ op @ q
-
-
-def reduced_first_order(tp, p: Projection) -> np.ndarray:
-    """First-order reduced generator ``J = P T' P + Q T' Q``."""
-    return block_diagonal_part(tp, p)
 
 
 def second_order_term(t0, p0_prime) -> np.ndarray:
@@ -198,31 +163,25 @@ def frozen_configs(n_sites: int):
     return out
 
 
+def frozen_rows(n_sites: int) -> np.ndarray:
+    """Indices of the frozen +/- configurations, in :func:`frozen_configs`
+    order."""
+    return np.array([config_index(cfg) for cfg in frozen_configs(n_sites)])
+
+
 def reduced_basis(p0: Projection, n_sites: int) -> np.ndarray:
-    """Near-delta basis of the image: ``P0`` applied to each frozen +/-
-    indicator, scaled to evaluate to 1 at its own configuration."""
-    cfgs = frozen_configs(n_sites)
-    if p0.rank != len(cfgs):
+    """Near-delta basis of the image: the columns of ``P0`` at the frozen
+    +/- configurations, each scaled to 1 at its own configuration."""
+    rows = frozen_rows(n_sites)
+    if p0.rank != len(rows):
         raise DomainError(f"projection rank {p0.rank} does not match "
-                          f"{len(cfgs)} frozen configurations")
-    cols = []
-    for cfg in cfgs:
-        ind = np.zeros(p0.n)
-        ind[config_index(cfg)] = 1.0
-        col = p0.matrix @ ind
-        pivot = col[config_index(cfg)]
-        if abs(pivot) < 1e-8:
-            raise NumericalError("basis column vanishes at its own "
-                                 "configuration")
-        cols.append(col / pivot)
-    return np.stack(cols, axis=1)
-
-
-def _restrict(op: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
-    image = op @ basis
-    m, *_ = np.linalg.lstsq(basis, image, rcond=None)
-    resid = float(np.abs(basis @ m - image).max())
-    return m, resid
+                          f"{len(rows)} frozen configurations")
+    cols = p0.matrix[:, rows]
+    pivots = cols[rows, np.arange(len(rows))]
+    if np.abs(pivots).min() < 1e-8:
+        raise NumericalError("basis column vanishes at its own "
+                             "configuration")
+    return cols / pivots
 
 
 def effective_operator(model: PcaModel, eps: float, order="2", *,
@@ -232,9 +191,13 @@ def effective_operator(model: PcaModel, eps: float, order="2", *,
 
     ``order`` selects the closed-form truncation ("1" keeps the
     block-diagonal part of the operator, "2" adds the second-order double
-    commutator) or the exact transported reduction ("exact").  All three
-    are expressed in the frozen +/- basis of the reference projection and
-    are row-stochastic up to the reported defect.
+    commutator) or the exact transported reduction ("exact", the frame
+    carried by :func:`transport_image` in ``n_steps`` steps).  Every order
+    is read as ``Y op X`` on the frozen rows ``Y``: the truncations on the
+    frozen basis ``X = B``, the exact one on the transported frame.  All
+    three are row-stochastic up to the reported defect; an operator that
+    leaks out of the frame, ``|op X - X m|`` above ``1e-8``, raises
+    :class:`NumericalError`.
     """
     order = str(order)
     if order not in ("1", "2", "exact"):
@@ -243,18 +206,23 @@ def effective_operator(model: PcaModel, eps: float, order="2", *,
     t0 = family.t0
     p0 = Projection(t0, tols=tols)     # the zero-eps operator is idempotent
     basis = reduced_basis(p0, model.n_sites)
-    t_eps = family.at(eps)
+    rows = frozen_rows(model.n_sites)
 
     if order == "exact":
-        path = integrate_gauge(family, eps, n_steps, tols=tols)
-        op = path.psi_inv @ t_eps @ path.psi
+        x, y, t_eps = transport_image(p0, basis, np.eye(p0.n)[rows], family,
+                                      eps, n_steps, tols=tols)
+        image = t_eps @ x
+        m = y @ image
     else:
-        op = block_diagonal_part(t_eps, p0)
+        op = block_diagonal_part(family.at(eps), p0)
         if order == "2":
             p0p = derivative(p0, t0, family.t0_prime, tols=tols)
             op = op + eps**2 * second_order_term(t0, p0p)
+        x = basis
+        image = op @ x
+        m = image[rows]
 
-    m, resid = _restrict(op, basis)
+    resid = float(np.abs(image - x @ m).max())
     if resid > 1e-8:
         raise NumericalError(f"reduction is not well-defined: the operator "
                              f"leaks out of the image by {resid:.3e}")

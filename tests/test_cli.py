@@ -470,8 +470,8 @@ class TestEffectiveAndContinue:
             "eps) runs up to 5 sites" in capsys.readouterr().err
 
     def test_exact_reduction_at_five_sites_runs(self, capsys, model_config):
-        # one gauge step to a small eps keeps it under a second on one
-        # core; eps = 0.05 with the CLI default of 64 steps takes about 13 s
+        # one transport step to a small eps keeps it under a second on one
+        # core; eps = 0.05 with the CLI default of 64 steps takes 14-20 s
         code, rep = run_json(capsys, ["effective", "--config",
                                       model_config(path_config(5)),
                                       "--order", "exact", "--eps", "0.02",
@@ -480,6 +480,15 @@ class TestEffectiveAndContinue:
         m = np.array(rep["result"]["matrix"])
         assert m.shape == (32, 32)
         assert np.abs(m.sum(axis=1) - 1.0).max() <= 1e-8
+
+    def test_too_few_steps_name_the_step_count(self, capsys, model_config):
+        start = time.perf_counter()
+        code = main(["effective", "--config", model_config(SINGLE),
+                     "--order", "exact", "--eps", "0.1", "--steps", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "at node 1 of 1 exceeds 1e-08; more steps reduce it" in \
+            capsys.readouterr().err
 
     def test_order_two_at_five_sites(self, capsys, model_config):
         code, rep = run_json(capsys, ["effective", "--config",
