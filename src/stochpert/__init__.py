@@ -17,8 +17,8 @@ The package provides, in dependency order:
 ``sylvester``
     Sylvester solvers and separation bounds;
 ``projection``
-    spectral projections, their tangent derivative, and predictor-corrector
-    continuation;
+    spectral projections, their tangent derivative, and their continuation
+    along an operator family, one ordered Schur form per node;
 ``perturb``
     transport of the image frame along the projection and the exact and
     first/second-order effective reduced dynamics;
@@ -42,8 +42,8 @@ from .sylvester import (SepReport, sep_bound_ct, sep_bound_discrete,
                         sep_brute, solve_dense, solve_integral, solve_series)
 from .projection import (BlockFrame, ContinuationResult, GapReport,
                          PathPoint, Projection, continue_projection,
-                         derivative, gap_report, phi, retract,
-                         spectral_projection, tangent_split)
+                         derivative, gap_report, phi, spectral_projection,
+                         tangent_split)
 from .perturb import (ReducedOperator, block_diagonal_part,
                       effective_operator, reduced_basis, second_order_term,
                       transport_image, two_state_row)

@@ -382,8 +382,8 @@ def cmd_continue(cfg, args):
 
 #: most sites the exact reduction runs on (``--order exact``, and every
 #: sweep, which compares the expansions against it): it continues the
-#: spectral projection on all 3^N configurations, 14-20 s at 5 sites on one
-#: core of a 2-core VM; 6 sites did not finish in 90 s
+#: spectral projection on all 3^N configurations, 3.7-4.3 s at 5 sites on
+#: one core of a 2-core VM; 6 sites took 78 s
 _EXACT_MAX_SITES = 5
 
 

@@ -44,7 +44,8 @@ class Tolerances:
     """Central tolerance record.
 
     solve
-        target residual for iterative correctors and linear solves.
+        target residual for iterative solves (no routine of the package
+        iterates to one).
     cluster
         eigenvalue clustering / rank decision threshold.
     test

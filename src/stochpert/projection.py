@@ -9,13 +9,14 @@ pair of Sylvester equations, solvable exactly when the block spectra are
 disjoint.  That yields
 
 * :func:`derivative` -- the tangent response ``P'`` to a change ``T'``,
-* :func:`continue_projection` -- a predictor-corrector path following the
-  projection along a one-parameter operator family, with the idempotent
-  retraction ``P <- 3P^2 - 2P^3`` handling the normal directions.
+* :func:`continue_projection` -- the projection and its tangent at each
+  node of a grid along a one-parameter operator family, each node read
+  from one ordered real Schur form of the operator there.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,6 @@ __all__ = [
     "continue_projection",
     "GapReport",
     "gap_report",
-    "retract",
 ]
 
 
@@ -45,17 +45,6 @@ def phi(p) -> np.ndarray:
     """Manifold residual ``P^2 - P`` (zero exactly on projections)."""
     p = np.asarray(p, dtype=float)
     return p @ p - p
-
-
-def retract(p) -> np.ndarray:
-    """One step of the idempotent refinement ``P <- 3P^2 - 2P^3``.
-
-    Contracts the residual quadratically for ``||phi(P)||`` below about
-    one tenth.
-    """
-    p = np.asarray(p, dtype=float)
-    p2 = p @ p
-    return 3.0 * p2 - 2.0 * p2 @ p
 
 
 #: LAPACK pivoted Householder QR and the explicit Q of its reflectors
@@ -119,7 +108,7 @@ def _frame_of(p: np.ndarray, rank: int) -> BlockFrame:
 
 
 class Projection:
-    """Idempotent operator with cached image/kernel frame.
+    """Idempotent operator with an image/kernel frame built on first use.
 
     ``submanifold`` records how the projection acts on the constant
     function: ``"fixes_one"`` (``P 1 = 1``), ``"kills_one"`` (``P 1 = 0``)
@@ -138,7 +127,6 @@ class Projection:
         self.rank = int(round(np.trace(p)))
         if not 0 <= self.rank <= p.shape[0]:
             raise DomainError(f"trace {np.trace(p):.6g} is not a valid rank")
-        self.frame = _frame_of(p, self.rank)
         ones = np.ones(p.shape[0])
         img = p @ ones
         if np.abs(img - ones).max() <= 1e-10:
@@ -147,6 +135,11 @@ class Projection:
             self.submanifold = "kills_one"
         else:
             self.submanifold = None
+
+    @functools.cached_property
+    def frame(self) -> BlockFrame:
+        """Orthonormal image and kernel bases by pivoted QR."""
+        return _frame_of(self.matrix, self.rank)
 
     @property
     def n(self) -> int:
@@ -163,6 +156,18 @@ class Projection:
     @property
     def kernel_basis(self) -> np.ndarray:
         return self.frame.w[:, self.rank:]
+
+
+def _trsyl(r11: np.ndarray, r22: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``X`` with ``R11 X - X R22 = C`` for quasi-triangular ``R11`` and
+    ``R22`` in real Schur form, by LAPACK ``trsyl``; a nonzero ``info``
+    raises :class:`NumericalError`."""
+    if c.size == 0:
+        return np.zeros(c.shape)
+    x, scale, info = _TRSYL(r11, r22, c, isgn=-1)
+    if info != 0:
+        raise NumericalError(f"trsyl failed with info {info}")
+    return x / scale
 
 
 def spectral_projection(t, region=Disk(1.0, 0.5), *,
@@ -188,12 +193,7 @@ def spectral_projection(t, region=Disk(1.0, 0.5), *,
         raise NumericalError(
             f"Schur reordering selected {k} eigenvalues but the region "
             f"contains {n_inside}; region may split a conjugate pair")
-    y = np.zeros((k, t.shape[0] - k))
-    if y.size:
-        y, scale, info = _TRSYL(r[:k, :k], r[k:, k:], r[:k, k:], isgn=-1)
-        if info != 0:
-            raise NumericalError(f"trsyl failed with info {info}")
-        y /= scale
+    y = _trsyl(r[:k, :k], r[k:, k:], r[:k, k:])
     p = z[:, :k] @ (z[:, :k].T + y @ z[:, k:].T)
     comm = np.linalg.norm(p @ t - t @ p, "fro")
     if comm > 1e-9 * max(1.0, np.linalg.norm(t, "fro")):
@@ -274,53 +274,64 @@ class ContinuationResult:
     operators: tuple[np.ndarray, ...]
 
 
-def _newton_correct(p_mat, t, rank, tols, max_iter=50):
-    """Correct an approximate projection onto ``[P,T]=0`` at fixed rank.
+def _schur_node(t, tp, previous, rank, eps, tols, accept_tol):
+    """Projection and tangent at one node, from one ordered Schur form.
 
-    Each iteration first retracts the iterate onto the projections
-    (``P <- 3P^2 - 2P^3``, which removes the normal defect), then tests the
-    residuals, then takes a Newton step in the tangent space of that
-    projection (two small Sylvester solves).  Retracting before the step
-    rather than after it keeps the step from being spent on the
-    predictor's own ``P^2 - P``.  The residuals are tested before the
-    iterate's image/kernel frame is built, so a converged iterate costs no
-    frame.  Returns the corrected (retracted) matrix with its final
-    residuals and the number of Newton steps taken.
+    ``previous`` is ``(X, L, kernel)`` of the previous node: its image
+    basis ``X``, the rows ``L`` with ``P = X L`` and ``L X = I``, and its
+    kernel-block spectrum.  The image block of ``T`` compressed onto that
+    image, ``L T X``, predicts the new image-block spectrum, and ``gees``
+    orders ``T = Z R Z^T`` so that the eigenvalues nearer to that
+    prediction than to the previous kernel-block spectrum lead.  One
+    ``trsyl``, ``R11 Y - Y R22 = R12``, gives ``P = Z1 (Z1^T + Y Z2^T)``.
+    In the frame ``W = Z [[I, -Y], [0, I]]``, whose inverse is
+    ``[[I, Y], [0, I]] Z^T``, ``T`` is ``diag(R11, R22)``, so the tangent
+    equations of :func:`derivative` for ``T' = tp`` are two more ``trsyl``
+    on the same quasi-triangular blocks.  ``W`` stays here: ``R22`` is
+    similar to the kernel block of the projection's orthonormal frame, but
+    not orthogonally, so the returned :class:`Projection` builds its own
+    frame if asked.  Returns the projection, ``P'`` and this node's
+    ``(X, L, kernel)``.
     """
-    history = []
-    for it in range(max_iter):
-        p_mat = retract(p_mat)
-        phi_r = np.linalg.norm(phi(p_mat), "fro")
-        comm_r = np.linalg.norm(p_mat @ t - t @ p_mat, "fro")
-        history.append((phi_r, comm_r))
-        if phi_r <= tols.solve and comm_r <= tols.solve:
-            return p_mat, phi_r, comm_r, it
-        frame = _frame_of(p_mat, rank)
-        t_p, t12, t21, t_q = frame.blocks(t)
-        u = solve_dense(t_p, t_q, t12)
-        v = solve_dense(t_q, t_p, -t21)
-        p_mat = p_mat + frame.from_offdiagonal(u, v)
-    raise NumericalError(
-        f"corrector did not reach {tols.solve:g} in {max_iter} iterations; "
-        f"residual history {history[-3:]}")
+    basis, rows, kernel = previous
+    image = np.linalg.eigvals(rows @ t @ basis)
+    guess = np.concatenate([image, kernel])
+    r, z, lam, k = _schur(
+        t, lambda wr, wi: np.abs(guess - complex(wr, wi)).argmin()
+        < image.size)
+    if k != rank:
+        raise DomainError(f"{k} eigenvalues continue the image block at "
+                          f"eps={eps:.6g}, not the rank {rank}: spectral "
+                          f"gap lost")
+    if 0 < k < lam.size:
+        gap = np.abs(lam[:k, None] - lam[None, k:]).min()
+        if gap <= tols.cluster:
+            raise DomainError(f"spectral gap {gap:.3e} at eps={eps:.6g} is "
+                              f"below {tols.cluster:g}")
+    r11, r22 = r[:k, :k], r[k:, k:]
+    y = _trsyl(r11, r22, r[:k, k:])
+    # W = [Z1, Z2 - Z1 Y] and W^-1 = [Z1^T + Y Z2^T; Z2^T]
+    basis, kernel_basis = z[:, :k], z[:, k:] - z[:, :k] @ y
+    rows, kernel_rows = z[:, :k].T + y @ z[:, k:].T, z[:, k:].T
+    p = basis @ rows
+    phi_r = np.linalg.norm(phi(p), "fro")
+    comm = np.linalg.norm(p @ t - t @ p, "fro")
+    if max(phi_r, comm) > accept_tol:
+        raise NumericalError(f"projection residuals |P^2-P| = {phi_r:.3e}, "
+                             f"|[P,T]| = {comm:.3e} at eps={eps:.6g} above "
+                             f"{accept_tol:g}")
 
-
-def _hermite(prev, last, step):
-    """Cubic Hermite extrapolation of ``P`` a ``step`` beyond ``last``: the
-    cubic through the accepted points ``prev`` and ``last``, each
-    ``(eps, P, P')``, matching both values and both tangents, taken at
-    ``tau = 1 + step / h`` in units of their spacing ``h`` (Allgower &
-    Georg, *Introduction to Numerical Continuation Methods*, ch. 6).  The
-    basis weights ``h01 = 1 - h00`` of the two values are folded into a
-    difference about ``P`` at ``last``."""
-    (e0, p0, d0), (e1, p1, d1) = prev, last
-    h = e1 - e0
-    tau = 1.0 + step / h
-    tau2 = tau * tau
-    h00 = (2.0 * tau - 3.0) * tau2 + 1.0
-    h10 = (tau - 2.0) * tau2 + tau
-    h11 = (tau - 1.0) * tau2
-    return p1 + h00 * (p0 - p1) + h * (h10 * d0 + h11 * d1)
+    # the tangent equations on the off-diagonal blocks of T' in the frame
+    # W, and P' = W [[0, U], [V, 0]] W^-1
+    u = _trsyl(r11, r22, rows @ tp @ kernel_basis)
+    v = _trsyl(r22, r11, -(kernel_rows @ (tp @ basis)))
+    pp = basis @ (u @ kernel_rows) + (kernel_basis @ v) @ rows
+    resid = np.linalg.norm((pp @ t - t @ pp) + (p @ tp - tp @ p), "fro")
+    if resid > 1e-9 * max(1.0, np.linalg.norm(tp, "fro")) + comm:
+        raise NumericalError(f"linearized equation residual {resid:.3e} at "
+                             f"eps={eps:.6g}")
+    return (Projection(p, tols=tols, idem_tol=accept_tol), pp,
+            (basis, rows, lam[k:]))
 
 
 def _continuation_nodes(p0, family, eps_target, n_steps, tols, accept_tol):
@@ -332,47 +343,14 @@ def _continuation_nodes(p0, family, eps_target, n_steps, tols, accept_tol):
     if eps_target == 0 or n_steps < 1:
         return
 
-    floor = eps_target / 2 ** 10
-    grid = np.linspace(0.0, eps_target, n_steps + 1)
-    current = p0
-    eps = 0.0
-    prev = None         # (eps, P, P') of the accepted point before current
-    for target in grid[1:]:
-        while eps < target:
-            step = target - eps
-            while True:
-                # a full step ends exactly on the grid node
-                end = target if step == target - eps else eps + step
-                t = family.at(end)
-                if prev is None:
-                    guess = current.matrix + step * tangent
-                else:
-                    guess = _hermite(prev, (eps, current.matrix, tangent),
-                                     step)
-                try:
-                    corrected, phi_r, comm_r, _ = _newton_correct(
-                        guess, t, current.rank, tols)
-                    break
-                except NumericalError:
-                    step *= 0.5
-                    if step < floor:
-                        raise NumericalError(
-                            f"continuation stalled near eps={eps:.6g}: step "
-                            f"fell below {floor:.3g}")
-            proj = Projection(corrected, tols=tols, idem_tol=accept_tol)
-            if proj.rank != p0.rank:
-                raise DomainError(
-                    f"rank jumped from {p0.rank} to {proj.rank} at "
-                    f"eps={end:.6g}: spectral gap lost")
-            if max(phi_r, comm_r) > accept_tol:
-                raise NumericalError(
-                    f"accepted-step residuals above {accept_tol:g}")
-            prev = (eps, current.matrix, tangent)
-            current = proj
-            eps = end
-            tangent = derivative(current, t, family.derivative(eps),
-                                 tols=tols)
-        yield target, current, tangent, t
+    frame, k = p0.frame, p0.rank
+    previous = (frame.w[:, :k], frame.w_inv[:k],
+                np.linalg.eigvals(frame.blocks(t)[3]))
+    for eps in np.linspace(0.0, eps_target, n_steps + 1)[1:]:
+        t = family.at(eps)
+        proj, tangent, previous = _schur_node(
+            t, family.derivative(eps), previous, k, eps, tols, accept_tol)
+        yield eps, proj, tangent, t
 
 
 def continue_projection(p0: Projection, family, eps_target: float,
@@ -381,19 +359,23 @@ def continue_projection(p0: Projection, family, eps_target: float,
                         accept_tol: float = 1e-11, consume=None):
     """Continue a projection along the operator family up to ``eps_target``.
 
-    The predictor of the first step is the Euler step along the tangent
-    ``P'`` at 0; every later one is the cubic Hermite extrapolation through
-    the last two accepted points and their tangents (:func:`derivative`,
-    computed once per accepted point), also after a halved step, where
-    the two spacings differ.  The corrector retracts onto the projections
-    and then takes Newton steps in tangent coordinates; from a Hermite
-    predictor one step usually reaches ``tols.solve``, from the Euler step
-    one or two.  Each attempted step ends exactly on its grid node or on a
-    halved step, and evaluates ``family.at`` there once: the corrector, the
-    tangent of an accepted point and the recorded residuals share that
-    operator.  A corrector :class:`NumericalError` halves the
-    step, down to ``eps_target / 2**10``; a :class:`DomainError` (a
-    collapsed spectral gap) and a rank jump abort the continuation.
+    Node 0 is ``p0`` itself, with its tangent from :func:`derivative`.
+    Every later node is computed from ``T(eps)`` alone, with no predictor
+    and no corrector: one real Schur form of ``T(eps)``, ordered by
+    ``gees`` to put first the eigenvalues nearer to the image-block
+    spectrum predicted from the previous node (``T(eps)`` compressed onto
+    that node's image, accurate to second order in the step) than to that
+    node's kernel-block spectrum, and three ``trsyl`` on its
+    quasi-triangular blocks, one for the projection and two for its
+    tangent (Bartels & Stewart 1972).  ``family.at`` and
+    ``family.derivative`` are evaluated once per node.  A node whose
+    ordering selects other than ``p0.rank`` eigenvalues (a kernel
+    eigenvalue moved further in one step than its distance to the image
+    block: more steps help), or whose block spectra come within
+    ``tols.cluster``, raises :class:`DomainError` naming its ``eps``;
+    ``|P^2 - P|`` or ``|[P, T]|`` above ``accept_tol``, or a
+    linearized-equation residual above that of :func:`derivative`, raises
+    :class:`NumericalError`.
 
     The grid nodes come as a stream of ``(eps, projection, tangent, T)``
     with ``T = family.at(eps)``.  By default the stream is collected into

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,11 +10,11 @@ import stochpert.projection as projection_module
 from stochpert.errors import DomainError, NumericalError
 from stochpert.model import PcaModel, PerturbationFamily, SiteGraph, \
     family_at_zero
-from stochpert.numerics import DEFAULT_TOLS, Disk
-from stochpert.projection import (Projection, _newton_correct, _rank_basis,
+from stochpert.numerics import Disk
+from stochpert.perturb import effective_operator
+from stochpert.projection import (Projection, _rank_basis,
                                   continue_projection, derivative, gap_report,
-                                  phi, retract, spectral_projection,
-                                  tangent_split)
+                                  phi, spectral_projection, tangent_split)
 
 T0_1SITE = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
 
@@ -33,16 +32,6 @@ class TestPhiAndRetract:
 
     def test_half_identity(self):
         assert np.allclose(phi(0.5 * np.eye(2)), -0.25 * np.eye(2))
-
-    def test_retraction_contracts_quadratically(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            e = rng.standard_normal((3, 3))
-            p = T0_1SITE + 0.02 * e / np.linalg.norm(e)
-            r0 = np.linalg.norm(phi(p), "fro")
-            r1 = np.linalg.norm(phi(retract(p)), "fro")
-            assert r0 <= 0.1
-            assert r1 <= 10.0 * r0 ** 2
 
 
 class TestRankBasis:
@@ -173,6 +162,13 @@ class TestSpectralProjection:
             spectral_projection(np.diag([2.0, -1.0]), lambda z: z.real > 0)
 
 
+def slow_radius(t, n_sites):
+    """Radius about 1 midway between the 2^N-th and the next distance of
+    the eigenvalues of ``t`` from 1."""
+    dist = np.sort(np.abs(np.linalg.eigvals(t) - 1.0))
+    return 0.5 * (dist[2 ** n_sites - 1] + dist[2 ** n_sites])
+
+
 @st.composite
 def slow_split_operators(draw, max_sites=4):
     """A random model on at most ``max_sites`` sites, count-driven or with
@@ -197,8 +193,7 @@ def slow_split_operators(draw, max_sites=4):
     eps = draw(st.just(0.0) | st.floats(0.01, 0.3)) * cap
     mdl = PcaModel(graph, alpha, eps, beta)
     t = mdl.operator(eps)
-    dist = np.sort(np.abs(np.linalg.eigvals(t) - 1.0))
-    return mdl, t, 0.5 * (dist[2 ** n - 1] + dist[2 ** n])
+    return mdl, t, slow_radius(t, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -310,47 +305,6 @@ def constant_family(t0):
     return PerturbationFamily(lambda e: t0, lambda e: zero, t0, zero)
 
 
-def recording_corrector(iters, fail=()):
-    """``_newton_correct`` that appends each call's Newton step count to
-    ``iters`` (``None`` for a call that raised); the calls numbered in
-    ``fail`` (from 0) raise :class:`NumericalError` without running."""
-    correct = projection_module._newton_correct
-
-    def corrector(*args, **kwargs):
-        if len(iters) in fail:
-            iters.append(None)
-            raise NumericalError("forced corrector failure")
-        try:
-            out = correct(*args, **kwargs)
-        except NumericalError:
-            iters.append(None)
-            raise
-        iters.append(out[3])
-        return out
-    return corrector
-
-
-class TestHermitePredictor:
-    @pytest.mark.parametrize("h,step", [(0.1, 0.1), (0.05, 0.1),
-                                        (0.1, 0.05)])
-    def test_exact_on_cubics(self, h, step):
-        # matrix-valued cubic; equal spacing, and both unequal ones
-        rng = np.random.default_rng(7)
-        c = rng.standard_normal((4, 3, 3))
-
-        def p(e):
-            return c[0] + e * (c[1] + e * (c[2] + e * c[3]))
-
-        def dp(e):
-            return c[1] + e * (2.0 * c[2] + 3.0 * e * c[3])
-
-        e0 = 0.2
-        e1 = e0 + h
-        guess = projection_module._hermite((e0, p(e0), dp(e0)),
-                                           (e1, p(e1), dp(e1)), step)
-        assert np.abs(guess - p(e1 + step)).max() <= 1e-13
-
-
 class TestContinuation:
     def test_constant_family_is_stationary(self):
         fam = constant_family(T0_1SITE)
@@ -390,37 +344,6 @@ class TestContinuation:
         res = continue_projection(Projection(fam.t0), fam, 0.1, 8)
         ones = np.ones(9)
         assert np.abs(res.projection.matrix @ ones - ones).max() < 1e-11
-
-    def test_corrector_converges_quadratically(self):
-        # one Euler step from eps = 0; a linearly converging corrector
-        # needs tens of iterations here
-        fam = PcaModel(SiteGraph.path(2), 0.3, 0.0, (1.7, 1.0)).family()
-        p0 = Projection(fam.t0)
-        pred = p0.matrix + 0.05 * derivative(p0, fam.t0, fam.t0_prime)
-        _, phi_r, comm_r, iters = _newton_correct(pred, fam.at(0.05), p0.rank,
-                                                  DEFAULT_TOLS)
-        assert iters <= 6
-        assert max(phi_r, comm_r) <= DEFAULT_TOLS.solve
-
-    def test_converged_input_builds_no_frame(self, monkeypatch):
-        fam = PcaModel(SiteGraph.path(2), 0.3, 0.0, (1.7, 1.0)).family()
-        p0 = Projection(fam.t0)
-        pred = p0.matrix + 0.05 * derivative(p0, fam.t0, fam.t0_prime)
-        frames = []
-
-        def counted(p, rank):
-            frames.append(rank)
-            return frame_of(p, rank)
-
-        frame_of = projection_module._frame_of
-        monkeypatch.setattr(projection_module, "_frame_of", counted)
-        _, _, _, iters = _newton_correct(p0.matrix, fam.t0, p0.rank,
-                                         DEFAULT_TOLS)
-        assert iters == 0 and frames == []
-        # otherwise one frame per Newton iteration, none for the final test
-        _, _, _, iters = _newton_correct(pred, fam.at(0.05), p0.rank,
-                                         DEFAULT_TOLS)
-        assert iters >= 1 and len(frames) == iters
 
     def test_one_operator_per_attempted_node(self):
         fam = PcaModel(SiteGraph.path(2), 0.3, 0.0).family()
@@ -474,65 +397,80 @@ class TestContinuation:
         assert len(res.tangents) == len(res.projections) == steps + 1
         for k, (proj, tangent) in enumerate(zip(res.projections,
                                                 res.tangents)):
-            assert np.array_equal(tangent, derivative(
-                proj, fam.at(grid[k]), fam.derivative(grid[k])))
-
-    def test_one_newton_step_per_node_after_the_first(self, monkeypatch):
-        # the first node is predicted by an Euler step, the later ones by
-        # cubic Hermite extrapolation; each predictor is retracted onto the
-        # projections before the first Newton step
-        iters = []
-        monkeypatch.setattr(projection_module, "_newton_correct",
-                            recording_corrector(iters))
-        fam = PcaModel(SiteGraph.path(2), 0.3, 0.0, (1.7, 1.0)).family()
-        continue_projection(Projection(fam.t0), fam, 0.2, 32)
-        assert len(iters) == 32
-        assert iters[0] <= 2
-        assert iters[1:] == [1] * 31
-
-    def test_halved_step_extrapolates_with_unequal_spacing(self,
-                                                           monkeypatch):
-        fam = PcaModel(SiteGraph.path(2), 0.3, 0.0, (1.7, 1.0)).family()
-        ref = continue_projection(Projection(fam.t0), fam, 0.08, 8)
-        calls, spacings, iters = [], [], []
-
-        def at(eps):
-            calls.append(eps)
-            return fam.at(eps)
-
-        def hermite(prev, last, step):
-            spacings.append((last[0] - prev[0], step))
-            return extrapolate(prev, last, step)
-
-        extrapolate = projection_module._hermite
-        monkeypatch.setattr(projection_module, "_hermite", hermite)
-        # the first attempt at the fourth node fails
-        monkeypatch.setattr(projection_module, "_newton_correct",
-                            recording_corrector(iters, fail={3}))
-        res = continue_projection(Projection(fam.t0),
-                                  dataclasses.replace(fam, at=at), 0.08, 8)
-        grid = np.linspace(0.0, 0.08, 9)
-        half = grid[3] + 0.5 * (grid[4] - grid[3])
-        assert calls == [*grid[:5], half, *grid[4:]]
-        assert iters[3] is None and None not in iters[4:]
-        # the failed attempt, the half step, then spacing h/2 with the
-        # steps h/2 and h
-        h = grid[1]
-        assert np.allclose(spacings[2:6], [(h, h), (h, h / 2),
-                                           (h / 2, h / 2), (h / 2, h)],
-                           rtol=1e-12, atol=0.0)
-        assert [pt.eps for pt in res.path] == list(grid)
-        assert np.abs(res.projection.matrix
-                      - ref.projection.matrix).max() <= 1e-11
+            # the same linearized equation, solved in the node's Schur
+            # frame instead of the projection's QR frame
+            ref = derivative(proj, fam.at(grid[k]), fam.derivative(grid[k]))
+            assert (np.abs(tangent - ref).max()
+                    <= 1e-13 * np.abs(ref).max())
 
     def test_collapsed_gap_raises_domain_error_at_once(self):
         # the gap of 1e-10 is below tols.cluster from the start: a domain
-        # error, not a step-halving retry ending in "stalled"
+        # error at node 0
         t = np.diag([1.0, 1.0 - 1e-10])
         fam = PerturbationFamily(lambda e: t, lambda e: np.zeros((2, 2)), t,
                                  np.zeros((2, 2)))
         with pytest.raises(DomainError, match="gap"):
             continue_projection(Projection(np.diag([1.0, 0.0])), fam, 0.1, 4)
+
+    def test_selection_other_than_the_rank_raises_naming_eps(self):
+        # in one step the kernel eigenvalue moves from 0 to 0.6, nearer the
+        # image block's 1 than its own 0
+        t0 = np.diag([1.0, 0.0])
+        tp = np.diag([0.0, 2.0])
+        fam = PerturbationFamily(lambda e: t0 + e * tp, lambda e: tp, t0, tp)
+        with pytest.raises(DomainError, match="2 eigenvalues .* at eps=0.3,"):
+            continue_projection(Projection(t0), fam, 0.3, 1)
+        # in steps of 0.15 it is followed
+        res = continue_projection(Projection(t0), fam, 0.3, 4)
+        assert np.array_equal(res.projection.matrix, t0)
+
+    def test_one_long_step_follows_the_slow_block(self):
+        # three independent sites, one step to a quarter of the rate cap:
+        # the slowest image eigenvalue ends at 0.42, nearer the kernel's 0
+        # than the image's 1 at eps = 0, so the image spectrum is predicted
+        # at the new eps rather than carried over
+        fam = PcaModel(SiteGraph(3, ()), 0.0, 0.0).family()
+        res = continue_projection(Projection(fam.t0), fam, 0.25, 1)
+        t = fam.at(0.25)
+        exact = spectral_projection(t, Disk(1.0, slow_radius(t, 3)))
+        assert np.abs(res.projection.matrix - exact.matrix).max() <= 1e-10
+
+    def test_an_exact_reduction_builds_one_frame_and_one_schur_per_node(
+            self, monkeypatch):
+        frames, schurs = [], []
+
+        def counted(calls, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(args[0].shape)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(projection_module, "_frame_of",
+                            counted(frames, projection_module._frame_of))
+        monkeypatch.setattr(projection_module, "_schur",
+                            counted(schurs, projection_module._schur))
+        mdl = PcaModel(SiteGraph.path(2), 0.2, 0.05)
+        effective_operator(mdl, 0.05, "exact", n_steps=4)
+        # p0's frame only; one Schur form of T per half-step node after 0
+        assert frames == [(9, 9)]
+        assert schurs == [(9, 9)] * 8
+
+    def test_gap_report_of_a_node_is_that_of_its_matrix(self):
+        # the node's frame is the QR frame of its own matrix, so the
+        # reported separation does not depend on how the node was found
+        fam = PcaModel(SiteGraph.path(3), 0.2, 0.0).family()
+        res = continue_projection(Projection(fam.t0), fam, 0.05, 4)
+        for proj, t in zip(res.projections, res.operators):
+            rep = gap_report(t, proj)
+            ref = gap_report(t, Projection(proj.matrix))
+            assert abs(rep.gap - ref.gap) <= 1e-12
+            assert abs(rep.sep - ref.sep) <= 1e-12
+            for lam, lam_ref in ((rep.eigenvalues_image,
+                                  ref.eigenvalues_image),
+                                 (rep.eigenvalues_kernel,
+                                  ref.eigenvalues_kernel)):
+                assert np.abs(np.sort_complex(lam)
+                              - np.sort_complex(lam_ref)).max() <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -540,18 +478,30 @@ class TestContinuation:
 def test_continuation_reaches_the_slow_block(case, n_steps):
     mdl, t, radius = case
     fam = mdl.family()
-    iters = []
-    with mock.patch.object(projection_module, "_newton_correct",
-                           recording_corrector(iters)):
-        res = continue_projection(Projection(fam.t0), fam, mdl.epsilon,
-                                  n_steps)
+    res = continue_projection(Projection(fam.t0), fam, mdl.epsilon, n_steps)
     exact = spectral_projection(t, Disk(1.0, radius))
     assert np.abs(res.projection.matrix - exact.matrix).max() <= 1e-10
-    assert None not in iters
-    # the Hermite-predicted nodes take at most 3 Newton steps; the Euler
-    # step from 0 takes 4 when one step spans about a fifth of the rate cap
-    assert max(iters[1:], default=0) <= 3
-    assert max(iters, default=0) <= 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(slow_split_operators(max_sites=3), st.integers(1, 8))
+def test_nodes_match_the_eigendecomposition(case, n_steps):
+    # P and P' at every node after 0 against an oracle that shares no code
+    # with the Schur route: the eigendecomposition of T, and a central
+    # difference of it for P'
+    mdl, _, _ = case
+    fam = mdl.family()
+    n = mdl.n_sites
+    res = continue_projection(Projection(fam.t0), fam, mdl.epsilon, n_steps)
+    for pt, proj, tangent, t in list(zip(res.path, res.projections,
+                                         res.tangents, res.operators))[1:]:
+        radius = slow_radius(t, n)
+        assert np.abs(proj.matrix - exact_projection(t, radius)).max() <= 1e-9
+        h = min(1e-4, 0.5 * pt.eps)
+        fd = (exact_projection(fam.at(pt.eps + h), radius)
+              - exact_projection(fam.at(pt.eps - h), radius)) / (2.0 * h)
+        assert np.abs(tangent - fd).max() <= 1e-5 * max(1.0,
+                                                        np.abs(fd).max())
 
 
 class TestGapReport:
