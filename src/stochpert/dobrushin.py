@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .model import _LocalRule
 from .numerics import (DEFAULT_TOLS, LinearProgram, Tolerances, lp_solve,
-                       lp_solve_many)
+                       lp_solve_iter)
 
 __all__ = [
     "ProductMetric",
@@ -50,9 +50,11 @@ __all__ = [
 GENERATOR_CAP = 1_000_000
 
 #: refuse a tangent norm needing more primal LPs than this, one per
-#: configuration plus one per +/- pair of polar generators.  The tangent
-#: norm runs up to two 3-state sites: 189 LPs, 0.1-0.15 s on one core.
-#: Three sites would need 83,214 LPs of about 11 ms each (15 min)
+#: configuration plus one per +/- pair of polar generators.  That is the
+#: count before pruning, the worst case of :func:`star_norm`.  The tangent
+#: norm runs up to two 3-state sites: at most 189 LPs, of which it solves
+#: 24-30 on the path models of the benchmark, about 12 ms on one core.
+#: Three sites could need 83,214 LPs of about 11 ms each (15 min)
 _STAR_NORM_LP_CAP = 1_000
 
 
@@ -208,15 +210,6 @@ def check_star_norm_size(sizes) -> None:
                   _STAR_NORM_LP_CAP, "linear programs")
 
 
-def _one_per_sign(gens: np.ndarray) -> np.ndarray:
-    """One generator of each pair ``g, -g``: the one whose first nonzero
-    entry is positive.  Negating every dipole of a generator negates its
-    row exactly (the site metrics are stored exactly symmetric), so this
-    keeps exactly half of :func:`polar_generators`."""
-    first = gens[np.arange(len(gens)), (gens != 0).argmax(axis=1)]
-    return gens[first > 0]
-
-
 def polar_generators(pm: ProductMetric) -> np.ndarray:
     """Extreme directions of the zero-charge unit ball, stacked as rows.
 
@@ -288,15 +281,31 @@ class _PrimalProgram:
             raise NumericalError(f"primal norm LP ended {res.status}")
         return res.value
 
-    def maximum(self, rows: np.ndarray) -> float:
-        """Largest norm over the measures ``rows``: one LP skeleton, one
-        warm-started phase 2 per row (:func:`lp_solve_many`)."""
+    def values(self, rows: np.ndarray):
+        """Norms of the measures ``rows``, one at a time as they are asked
+        for: one LP skeleton, one warm-started phase 2 per row
+        (:func:`lp_solve_iter`); nothing runs before the first."""
         objs = np.hstack([rows, np.zeros((len(rows), self.pm.n_sites))])
-        results = lp_solve_many(self._program(objs[0]), objs)
-        for res in results:
+        prog = self._program(np.zeros(objs.shape[1]))
+        for res in lp_solve_iter(prog, objs):
             if not res.optimal:
                 raise NumericalError(f"primal norm LP ended {res.status}")
-        return max(res.value for res in results)
+            yield res.value
+
+    def maximum(self, rows: np.ndarray, bounds: np.ndarray,
+                best: float = 0.0) -> float:
+        """Largest of ``best`` and the norms of the measures ``rows``, given
+        an upper bound on each norm.  The rows are solved in descending
+        bound order, and the rest are left unsolved once the next bound is
+        no larger than the largest norm found: none of them can exceed it
+        (branch and bound; Land & Doig 1960)."""
+        order = np.argsort(-bounds, kind="stable")
+        values = self.values(rows[order])
+        for bound in bounds[order]:
+            if bound <= best:
+                break
+            best = max(best, next(values))
+        return best
 
 
 def _check_zero_charge(mu: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -379,6 +388,20 @@ class StarNorm(NamedTuple):
         return self.z_operator + self.simplex_image
 
 
+def _oscillation_bound(rows: np.ndarray, pm: ProductMetric) -> np.ndarray:
+    """Upper bound on the primal LP's value for each measure of ``rows``.
+
+    A function of seminorm at most 1 moves by at most the diameter between
+    any two configurations (site by site, each step costs its site's
+    Lipschitz constant times a distance), so f - c has sup norm at most
+    half the diameter for c the midpoint of its range, and c is within
+    half the diameter of f[0] = 0.  Hence nu(f) <= (|nu|_1 + |sum nu|) *
+    diameter / 2; the charge term counts because rows of T' sum to zero
+    only to ``tangent_tol``."""
+    return ((np.abs(rows).sum(axis=1) + np.abs(rows.sum(axis=1)))
+            * (pm.diameter / 2))
+
+
 def star_norm(tp, pm: ProductMetric, *, tangent_tol: float = 1e-10) -> StarNorm:
     """Both parts of the tangent norm, as exact finite maxima.
 
@@ -388,25 +411,71 @@ def star_norm(tp, pm: ProductMetric, *, tangent_tol: float = 1e-10) -> StarNorm:
     zero-charge unit ball).  Both maxima of a convex function over a
     polytope are attained at listed extreme points, so the results are
     exact up to LP accuracy.  The norm is even and ``-g`` is a generator
-    whenever ``g`` is, so one generator of each pair is enough.  That is
-    one primal LP per configuration and per generator pair, all on one
-    constraint skeleton (:meth:`_PrimalProgram.maximum`): 189 for two
-    3-state sites.  Beyond two 3-state sites (more than
-    :data:`_STAR_NORM_LP_CAP` LPs, :func:`check_star_norm_size`)
-    :class:`DomainError` is raised before the first.
+    whenever ``g`` is, so one generator of each pair is enough.
+
+    Each norm is one primal LP on one shared constraint skeleton, but most
+    of them cannot change the maximum and are not solved.  The norms of
+    the single-site dipole images ``d T'`` are solved first, one per +/-
+    pair.  A generator ``g = d_1 + ... + d_k`` then has ``|g T'| <= sum
+    |d_s T'|`` (the triangle inequality), and every row has the
+    oscillation bound of :func:`_oscillation_bound`; the rows are solved
+    in descending order of the smaller bound until it cannot beat the
+    maximum found (:meth:`_PrimalProgram.maximum`).  On the 2-site path
+    models of the benchmark that is 24-30 of the 189 LPs the exhaustive
+    maximum solves.  Sizes that would need more than
+    :data:`_STAR_NORM_LP_CAP` LPs without pruning (beyond two 3-state
+    sites, :func:`check_star_norm_size`) are refused with
+    :class:`DomainError` before the first.
     """
     tp = np.asarray(tp, dtype=float)
     n = pm.n_configs
     if tp.shape != (n, n):
         raise DomainError(f"operator shape {tp.shape} vs {n} configurations")
+    if not np.all(np.isfinite(tp)):
+        raise DomainError("T' has non-finite entries")
     defect = np.abs(tp.sum(axis=1)).max()
     if defect > tangent_tol:
         raise DomainError(f"T' @ 1 = 0 violated by {defect:.3e}")
 
     check_star_norm_size(pm.sizes)
     prog = _PrimalProgram(pm)
-    simplex_image = prog.maximum(tp)
-    z_operator = prog.maximum(_one_per_sign(polar_generators(pm)) @ tp)
+    simplex_image = prog.maximum(tp, _oscillation_bound(tp, pm))
+
+    # every ordered single-site dipole image (delta_i - delta_j) T' / d, per
+    # site in _site_dipoles order.  Reversing a dipole negates its image
+    # exactly (the metrics are stored exactly symmetric), so only the j > i
+    # half is solved; norm[i, j] = norm[j, i] holds the norms
+    pairs = [_site_pairs(pm, s) for s in range(pm.n_sites)]
+    images = [(tp[i] - tp[j]) / d[:, None] for i, j, d in pairs]
+    ups = [j > i for i, j, _ in pairs]
+    i_up, j_up = np.hstack([[i[up], j[up]]
+                            for (i, j, _), up in zip(pairs, ups)])
+    up_values = np.fromiter(prog.values(np.vstack(
+        [img[up] for img, up in zip(images, ups)])), dtype=float)
+    norm = np.zeros((n, n))
+    norm[i_up, j_up] = norm[j_up, i_up] = up_values
+    norms = [norm[i, j] for i, j, _ in pairs]
+
+    # the generators of two or more sites in polar_generators' order, one
+    # of each +/- pair (the one whose first dipole has j > i), as sums of
+    # dipole images, with the sums of their norms
+    rows, sums = [np.empty((0, n))], [np.empty(0)]
+    for mask in range(1, 2 ** pm.n_sites):
+        chosen = [s for s in range(pm.n_sites) if mask >> s & 1]
+        if len(chosen) < 2:
+            continue
+        first = chosen[0]
+        acc = images[first][ups[first]]
+        tri = norms[first][ups[first]]
+        for s in chosen[1:]:
+            acc = (acc[:, None] + images[s]).reshape(-1, n)
+            tri = (tri[:, None] + norms[s]).ravel()
+        rows.append(acc)
+        sums.append(tri)
+    rows = np.vstack(rows)
+    bounds = np.minimum(np.concatenate(sums), _oscillation_bound(rows, pm))
+    z_operator = prog.maximum(rows, bounds,
+                              best=float(up_values.max(initial=0.0)))
     return StarNorm(z_operator, simplex_image)
 
 

@@ -9,15 +9,18 @@ exponential, and the Kronecker matrix of the Sylvester map
 The simplex pivots its dense tableau with one rank-one numpy update.  It is
 kept instead of ``scipy.optimize.linprog``, whose import alone adds about
 20 MB to the process.  Programs that share every constraint and differ
-only in the objective are solved together (``lp_solve_many``): phase 1
-runs once, and each objective's phase 2 starts from the optimal basis of
-the one before, its tableau recomputed from the program's data.
+only in the objective are solved together (``lp_solve_iter``, and
+``lp_solve_many``, the list of its results): phase 1 runs once, and each
+objective's phase 2 starts from the optimal basis of the one before, its
+tableau recomputed from the program's data.  ``lp_solve_iter`` runs each
+phase 2 only when its result is asked for, so a caller that can tell
+that the remaining objectives do not matter stops paying for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -31,6 +34,7 @@ __all__ = [
     "LpResult",
     "lp_solve",
     "lp_solve_many",
+    "lp_solve_iter",
     "Disk",
     "centrosymmetric_eigvals",
     "expm",
@@ -43,18 +47,11 @@ __all__ = [
 class Tolerances:
     """Central tolerance record.
 
-    solve
-        target residual for iterative solves (no routine of the package
-        iterates to one).
     cluster
         eigenvalue clustering / rank decision threshold.
-    test
-        generic verification threshold for contract post-checks.
     """
 
-    solve: float = 1e-12
     cluster: float = 1e-8
-    test: float = 1e-9
 
 
 DEFAULT_TOLS = Tolerances()
@@ -195,22 +192,37 @@ def lp_solve_many(lp: LinearProgram, objectives, *, feas_tol: float = 1e-9,
     """Solve ``lp`` once per row of ``objectives``, which take the place of
     ``lp.objective`` (each maximized or minimized as ``lp.maximize`` says).
 
-    Bound substitution, tableau assembly, phase 1 and the drive-out of the
-    artificials run once; an infeasible program is infeasible for every
-    objective.  Phase 2 then runs once per objective, in order, each
-    starting from the basis the previous one ended on: only the cost row
-    changes, so that basis stays primal-feasible (also after an
-    "unbounded" end, which stops before its pivot).  Before each warm
-    start the tableau rows are recomputed from the program's data at that
-    basis (one dense solve), so rounding does not pile up from one
-    objective to the next.  Tolerances, the per-phase pivot cap and the
-    per-objective feasibility check of the optimum are those of
-    :func:`lp_solve`.  A warm start can set out from a badly conditioned
-    basis and lose accuracy on the way: one that meets a singular basis,
-    fails the feasibility check, exceeds the pivot cap or ends unbounded
-    is run again from the basis phase 1 left, exactly as :func:`lp_solve`
-    runs it, and that result stands.  The data and the phase-1 tableau
-    are kept for that only when there is more than one objective.
+    The list of every result of :func:`lp_solve_iter`, with the same
+    arguments, warm starts and checks.
+    """
+    return list(lp_solve_iter(lp, objectives, feas_tol=feas_tol,
+                              pivot_tol=pivot_tol, max_iter=max_iter))
+
+
+def lp_solve_iter(lp: LinearProgram, objectives, *, feas_tol: float = 1e-9,
+                  pivot_tol: float = 1e-9, max_iter: int = 50_000,
+                  ) -> Iterator[LpResult]:
+    """Iterator over the results of ``lp`` with each row of ``objectives``
+    in place of ``lp.objective``, solved one at a time as it is asked for.
+
+    The call itself validates the objectives, substitutes the bounds,
+    assembles the tableau and runs phase 1 and the drive-out of the
+    artificials, once; an infeasible program is infeasible for every
+    objective.  Each step of the iterator then runs phase 2 for the next
+    objective, starting from the basis the previous one ended on: only the
+    cost row changes, so that basis stays primal-feasible (also after an
+    "unbounded" end, which stops before its pivot).  A caller that stops
+    early pays for no later objective.  Before each warm start the tableau
+    rows are recomputed from the program's data at that basis (one dense
+    solve), so rounding does not pile up from one objective to the next.
+    Tolerances, the per-phase pivot cap and the per-objective feasibility
+    check of the optimum are those of :func:`lp_solve`.  A warm start can
+    set out from a badly conditioned basis and lose accuracy on the way:
+    one that meets a singular basis, fails the feasibility check, exceeds
+    the pivot cap or ends unbounded is run again from the basis phase 1
+    left, exactly as :func:`lp_solve` runs it, and that result stands.  The
+    data and the phase-1 tableau are kept for that only when there is more
+    than one objective.
     """
     n = lp.objective.size
     objectives = np.asarray(objectives, dtype=float)
@@ -281,7 +293,7 @@ def lp_solve_many(lp: LinearProgram, objectives, *, feas_tol: float = 1e-9,
         allowed = np.ones(total, dtype=bool)
         status = _bland_minimize(tab, basis, allowed, pivot_tol, max_iter)
         if status != "optimal" or -tab[-1, -1] > feas_tol:
-            return [LpResult("infeasible") for _ in objectives]
+            return (LpResult("infeasible") for _ in objectives)
         # drive artificials out of the basis; drop redundant rows
         buf = np.empty_like(tab)
         for i in np.flatnonzero(basis >= ncols):
@@ -330,28 +342,29 @@ def lp_solve_many(lp: LinearProgram, objectives, *, feas_tol: float = 1e-9,
     if len(objectives) > 1:
         data = np.column_stack([body[keep], rhs[keep]])
         cold = tab.copy(), basis.copy()
-    results = []
-    for objective in objectives:
-        if not results:
-            results.append(phase2(tab, basis, objective))
-            continue
-        try:
-            # the rows at the warm basis, recomputed from the program's
-            # data so that rounding does not pile up across objectives
-            rows = np.linalg.solve(data[:, basis], data)
-            tab[:m, :ncols] = rows[:, :-1]
-            tab[:m, basis] = np.eye(m)
-            tab[:m, -1] = np.maximum(rows[:, -1], 0.0)
-            res = phase2(tab, basis, objective)
-        except (NumericalError, np.linalg.LinAlgError):
-            res = None
-        if res is None or not res.optimal:
-            # a warm start that fails its checks, or finds no optimum, is
-            # solved again from the phase-1 basis, as lp_solve would
-            tab, basis = cold[0].copy(), cold[1].copy()
-            res = phase2(tab, basis, objective)
-        results.append(res)
-    return results
+
+    def each():
+        nonlocal tab, basis
+        yield phase2(tab, basis, objectives[0])
+        for objective in objectives[1:]:
+            try:
+                # the rows at the warm basis, recomputed from the program's
+                # data so that rounding does not pile up across objectives
+                rows = np.linalg.solve(data[:, basis], data)
+                tab[:m, :ncols] = rows[:, :-1]
+                tab[:m, basis] = np.eye(m)
+                tab[:m, -1] = np.maximum(rows[:, -1], 0.0)
+                res = phase2(tab, basis, objective)
+            except (NumericalError, np.linalg.LinAlgError):
+                res = None
+            if res is None or not res.optimal:
+                # a warm start that fails its checks, or finds no optimum,
+                # is solved again from the phase-1 basis, as lp_solve would
+                tab, basis = cold[0].copy(), cold[1].copy()
+                res = phase2(tab, basis, objective)
+            yield res
+
+    return each() if len(objectives) else iter(())
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,13 @@ class TestStarNorm:
         with pytest.raises(DomainError, match="T'"):
             star_norm(np.eye(3), PM1)
 
+    def test_non_finite_rejected(self):
+        # a NaN row would have a NaN bound, which no pruning rule may skip
+        tp = np.zeros((3, 3))
+        tp[0, 0] = np.nan
+        with pytest.raises(DomainError, match="non-finite"):
+            star_norm(tp, PM1)
+
     def test_worked_single_site_value(self):
         _, t0p = family_at_zero(SiteGraph(1, ()), 0.0)
         sn = star_norm(t0p, PM1)

@@ -11,11 +11,12 @@ import pytest
 import scipy.optimize
 from hypothesis import assume, event, given, settings, strategies as st
 
-from stochpert.dobrushin import (ProductMetric, _PrimalProgram, _one_per_sign,
-                                 f_seminorm, generator_count,
-                                 polar_generators, site_lipschitz, star_norm,
-                                 z_norm)
+from stochpert import numerics
+from stochpert.dobrushin import (ProductMetric, _PrimalProgram, f_seminorm,
+                                 generator_count, polar_generators,
+                                 site_lipschitz, star_norm, z_norm)
 from stochpert.errors import NumericalError
+from stochpert.model import PcaModel, SiteGraph
 from stochpert.numerics import LinearProgram, lp_solve
 
 #: keep the per-configuration references and the dual LP quick
@@ -144,25 +145,11 @@ def reference_star_norm(tp, pm):
     return z_operator, simplex_image
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_product_metrics())
-def test_one_generator_per_sign_pair(pm):
-    gens = polar_generators(pm)
-    kept = _one_per_sign(gens)
-    assert 2 * len(kept) == len(gens)
-    assert (sorted(map(tuple, np.vstack([kept, -kept])))
-            == sorted(map(tuple, gens)))
-
-
 def test_nearly_symmetric_metric_keeps_exact_sign_pairs():
     d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
     d[1, 0] += 1e-7
     pm = ProductMetric((3, 2), (d, 1.0 - np.eye(2)))
     assert np.array_equal(pm.metrics[0], pm.metrics[0].T)
-    gens = polar_generators(pm)
-    kept = _one_per_sign(gens)
-    assert (sorted(map(tuple, np.vstack([kept, -kept])))
-            == sorted(map(tuple, gens)))
     tp = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 6))
     tp -= tp.mean(axis=1, keepdims=True)
     for got, ref in zip(star_norm(tp, pm), reference_star_norm(tp, pm)):
@@ -170,10 +157,11 @@ def test_nearly_symmetric_metric_keeps_exact_sign_pairs():
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.sampled_from([(3,), (2, 3), (3, 3)]).flatmap(
+@given(st.sampled_from([(3,), (2, 3), (3, 3), (2, 2, 2)]).flatmap(
     lambda sizes: product_metrics(sizes=sizes)), st.data())
 def test_star_norm_matches_per_lp_reference(pm, data):
     n = pm.n_configs
+    event(f"sizes {pm.sizes}")
     tp = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=n * n,
                                      max_size=n * n))).reshape(n, n)
     tp -= tp.mean(axis=1, keepdims=True)
@@ -187,6 +175,39 @@ def test_star_norm_matches_per_lp_reference(pm, data):
         assume(False)
     for value, ref in zip(star_norm(tp, pm), expected):
         assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+def path2_tangent(beta_override):
+    """T' of the 2-site path model (alpha = 0.2, eps = 0.05) and its
+    product metric."""
+    mdl = PcaModel(SiteGraph.path(2), 0.2, 0.05, beta_override=beta_override)
+    pm = ProductMetric.discrete(mdl.product_metric_sizes())
+    return mdl.family().derivative(mdl.epsilon), pm
+
+
+def test_star_norm_matches_per_lp_reference_where_bounds_tie():
+    # the count-driven model is flip-symmetric: several generator rows
+    # share the largest bound, and the first three solved fall short of it
+    tp, pm = path2_tangent(None)
+    for got, ref in zip(star_norm(tp, pm), reference_star_norm(tp, pm)):
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("beta_override", [None, (1.7, 1.0)])
+def test_star_norm_solves_few_of_its_lps(beta_override, monkeypatch):
+    # every simplex run counts, phase 1 included; without pruning the
+    # tangent norm on two 3-state sites solves 189 LPs
+    tp, pm = path2_tangent(beta_override)
+    runs = []
+    bland = numerics._bland_minimize
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return bland(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "_bland_minimize", counted)
+    star_norm(tp, pm)
+    assert len(runs) <= 40
 
 
 #: found by hypothesis: a 2 x 3 space with a Euclidean site metric (the
